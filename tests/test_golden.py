@@ -1,0 +1,79 @@
+"""Golden CLI outputs: stdout and exit code must match the stored files byte for byte.
+
+Every case runs `oba_lab.cli.main` with `--no-timestamp`.  After an intended
+change of output, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of `tests/golden/` like any other change.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from oba_lab.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# file name -> (argv without --no-timestamp, expected exit code)
+CASES = {
+    **{
+        f"witness-{n}-{rule}.json": (["witness", "--n", str(n), "--rule", rule], 0)
+        for n in (2, 64, 600)
+        for rule in ("left", "trapezoid")
+    },
+    **{
+        f"converge-{rule}.{fmt}": (
+            ["converge", "--ns", "16,64,600", "--rule", rule, "--format", fmt], 0
+        )
+        for rule in ("left", "trapezoid")
+        for fmt in ("json", "csv")
+    },
+    **{
+        f"{suite}-seed{seed}.json": ([suite, "--trials", "200", "--seed", str(seed)], 0)
+        for suite in ("axioms", "rigidity")
+        for seed in (42, 0, 7)
+    },
+    "axioms-seed42.csv": (["axioms", "--trials", "200", "--seed", "42", "--format", "csv"], 0),
+    "growth-64-16.json": (["growth", "--n", "64", "--k-max", "16"], 0),
+    "growth-64-16.csv": (["growth", "--n", "64", "--k-max", "16", "--format", "csv"], 0),
+    "growth-600-8.json": (["growth", "--n", "600", "--k-max", "8"], 0),
+    "witness-1-left.json": (["witness", "--n", "1", "--rule", "left"], 1),
+    "growth-8-7.json": (["growth", "--n", "8", "--k-max", "7"], 1),
+}
+
+
+def _run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main([*argv, "--no-timestamp"])
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+    raise AssertionError("main() returned without calling sys.exit")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    argv, expected_code = CASES[name]
+    code, out = _run(argv)
+    assert code == expected_code
+    assert out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_every_golden_file_has_a_case():
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == set(CASES)
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, (argv, expected_code) in sorted(CASES.items()):
+        code, out = _run(argv)
+        if code != expected_code:
+            sys.exit(f"{name}: exit code {code}, expected {expected_code}")
+        (GOLDEN_DIR / name).write_bytes(out.encode("utf-8"))
+        print(f"wrote {GOLDEN_DIR / name}")
