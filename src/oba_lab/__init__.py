@@ -10,6 +10,7 @@ from .algebra import (
     ProductElement,
     cone_contains,
     cone_leq,
+    cone_slack,
     geq_unit,
     prod_involution,
     prod_mul,
@@ -38,7 +39,6 @@ from .spectral import (
 )
 from .suites import PropertyResult, SuiteReport, run_axiom_suite, run_rigidity_suite
 from .volterra import (
-    ConvergenceRow,
     QuadratureRule,
     WitnessReport,
     build_witness,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComputationError",
-    "ConvergenceRow",
     "DEFAULT_TOLERANCE",
     "MatrixOperator",
     "PreconditionError",
@@ -70,6 +69,7 @@ __all__ = [
     "cluster_radius",
     "cone_contains",
     "cone_leq",
+    "cone_slack",
     "convergence_study",
     "eigenvalues",
     "gelfand_radius",

@@ -102,15 +102,24 @@ def prod_involution(x: ProductElement) -> ProductElement:
     return ProductElement(x.op.adjoint(), np.conj(x.scalar))
 
 
-def cone_contains(x: ProductElement, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-    """Membership in the order cone: scalar essentially real and ||A|| <= Re(scalar).
+def membership_slack(norm: float, scalar: complex, tol: ToleranceConfig) -> float:
+    """Margin of the cone test for a pair whose matrix part has the given norm.
 
+    Nonnegative iff the scalar is essentially real and norm <= Re(scalar).
     Both comparisons carry the additive abs_tol, since exact realness is
     unattainable after float products.
     """
-    if abs(x.scalar.imag) > tol.abs_tol:
-        return False
-    return spectral_norm(x.op) <= x.scalar.real + tol.abs_tol
+    return min(tol.abs_tol - abs(scalar.imag), scalar.real + tol.abs_tol - norm)
+
+
+def cone_slack(x: ProductElement, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> float:
+    """How far x sits inside the order cone (negative: outside), with one norm evaluation."""
+    return membership_slack(spectral_norm(x.op), x.scalar, tol)
+
+
+def cone_contains(x: ProductElement, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
+    """Membership in the order cone: scalar essentially real and ||A|| <= Re(scalar)."""
+    return cone_slack(x, tol) >= 0
 
 
 def cone_leq(

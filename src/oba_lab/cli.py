@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -63,25 +64,25 @@ def _env_seed() -> int:
         raise ValueError(f"OBA_LAB_SEED must be an integer, got {raw!r}") from exc
 
 
-def _finite_or_none(value: float):
-    value = float(value)
-    return value if math.isfinite(value) else None
+def _record(obj, *properties: str) -> dict:
+    """A report dataclass as a JSON-ready dict: its fields in order, then the named properties.
+
+    Enums become their value and non-finite floats become None (JSON null).
+    """
+    record = {}
+    for name in [f.name for f in fields(obj)] + list(properties):
+        value = getattr(obj, name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, float) and not math.isfinite(value):
+            value = None
+        record[name] = value
+    return record
 
 
 def _run_witness(config: RunConfig):
     w = build_witness(config.n, config.rule, config.tolerance())
-    report = {
-        "n": w.n,
-        "rule": w.rule.value,
-        "h": w.h,
-        "norm_T": w.norm_T,
-        "xi_used": w.xi_used,
-        "cone_member": w.cone_member,
-        "cluster_radius": w.cluster_radius,
-        "deviation": w.deviation,
-        "geq_unit": w.geq_unit,
-        "norm_excess": w.norm_excess,
-    }
+    report = _record(w)
     targets = {
         "norm_T": 1.0,
         "cluster_radius": 0.0,
@@ -94,50 +95,25 @@ def _run_witness(config: RunConfig):
 
 
 def _run_converge(config: RunConfig):
-    rows = convergence_study(config.ns, config.rule, config.tolerance())
-    table = [
-        {
-            "n": r.n,
-            "h": r.h,
-            "norm_T": r.norm_T,
-            "cluster_radius": r.cluster_radius,
-            "deviation": r.deviation,
-            "norm_excess": r.norm_excess,
-        }
-        for r in rows
-    ]
+    witnesses = convergence_study(config.ns, config.rule, config.tolerance())
+    header = ["n", "h", "norm_T", "cluster_radius", "deviation", "norm_excess"]
+    table = [{key: record[key] for key in header} for record in map(_record, witnesses)]
     if config.rule is QuadratureRule.TRAPEZOID:
         # accretivity sandwich: spectral-radius lower bound, norm upper bound
-        passed = all(1.0 / (1.0 + r.h / 2) <= r.norm_T <= 1.0 + 1e-10 for r in rows)
+        passed = all(1.0 / (1.0 + w.h / 2) <= w.norm_T <= 1.0 + 1e-10 for w in witnesses)
     else:
-        passed = True
+        # quasinilpotency: spectrum exactly {1}, yet the norm exceeds 1
+        passed = all(w.cluster_radius == 0.0 and w.norm_excess > 0 for w in witnesses)
     report = {"rule": config.rule.value, "rows": table}
     targets = {"norm_T": 1.0, "cluster_radius": 0.0, "norm_excess": 0.0}
-    header = ["n", "h", "norm_T", "cluster_radius", "deviation", "norm_excess"]
     return report, targets, passed, (header, table)
 
 
 def _suite_payload(suite):
-    properties = [
-        {
-            "name": r.name,
-            "trials": r.trials,
-            "failures": r.failures,
-            "worst_slack": _finite_or_none(r.worst_slack),
-            "passed": r.passed,
-        }
-        for r in suite.results
-    ]
-    report = {
-        "suite": suite.suite,
-        "seed": suite.seed,
-        "trials": suite.trials,
-        "abs_tol": suite.abs_tol,
-        "rel_tol": suite.rel_tol,
-        "properties": properties,
-    }
-    header = ["name", "trials", "failures", "worst_slack", "passed"]
-    return report, {"failures": 0}, suite.all_passed, (header, properties)
+    report = _record(suite)
+    properties = [_record(r, "passed") for r in report.pop("results")]
+    report["properties"] = properties
+    return report, {"failures": 0}, suite.all_passed, (list(properties[0]), properties)
 
 
 def _run_axioms(config: RunConfig):
@@ -210,7 +186,10 @@ def run(config: RunConfig) -> int:
     report, targets, passed, csv_spec = handler(config)
     text = render(config, report, targets, passed, csv_spec)
     if config.output_path is not None:
-        config.output_path.write_text(text, encoding="utf-8")
+        try:
+            config.output_path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write report to {config.output_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0 if passed else 1

@@ -14,6 +14,8 @@ import numpy as np
 
 from .algebra import (
     ProductElement,
+    cone_slack,
+    membership_slack,
     prod_involution,
     prod_mul,
     prod_norm,
@@ -78,31 +80,24 @@ def _random_element(seed: int, dim: int, scale: float) -> ProductElement:
     return ProductElement(MatrixOperator(mat), xi)
 
 
-def _membership_slack(x: ProductElement, tol: ToleranceConfig) -> float:
-    """Positive iff x passes the cone membership predicate, with one norm evaluation."""
-    imag_slack = tol.abs_tol - abs(x.scalar.imag)
-    norm_slack = x.scalar.real + tol.abs_tol - spectral_norm(x.op)
-    return min(imag_slack, norm_slack)
-
-
 def _check_additivity(seed, prop, trial, tol):
     dim, scale = _trial_dim(trial), _trial_scale(trial)
     x = random_cone_element(_trial_seed(seed, prop, 2 * trial), dim, scale)
     y = random_cone_element(_trial_seed(seed, prop, 2 * trial + 1), dim, scale)
-    return _membership_slack(x + y, tol)
+    return cone_slack(x + y, tol)
 
 
 def _check_scaling(seed, prop, trial, tol):
     x = random_cone_element(_trial_seed(seed, prop, trial), _trial_dim(trial), _trial_scale(trial))
     lam = _LAMBDAS[trial % len(_LAMBDAS)]
-    return _membership_slack(lam * x, tol)
+    return cone_slack(lam * x, tol)
 
 
 def _check_multiplicativity(seed, prop, trial, tol):
     dim, scale = _trial_dim(trial), _trial_scale(trial)
     x = random_cone_element(_trial_seed(seed, prop, 2 * trial), dim, scale)
     y = random_cone_element(_trial_seed(seed, prop, 2 * trial + 1), dim, scale)
-    return _membership_slack(prod_mul(x, y), tol)
+    return cone_slack(prod_mul(x, y), tol)
 
 
 def _check_properness(seed, prop, trial, tol):
@@ -110,7 +105,7 @@ def _check_properness(seed, prop, trial, tol):
     if prod_norm(x) <= tol.abs_tol:
         return math.inf  # vacuous at the cone tip
     # -x must miss membership: its real-part slack has to be negative
-    return -_membership_slack(-x, tol)
+    return -cone_slack(-x, tol)
 
 
 def _check_normality(seed, prop, trial, tol):
@@ -126,14 +121,8 @@ def _check_ice_cream(seed, prop, trial, tol):
     norm_op = spectral_norm(x.op)
     slack = math.inf
     for candidate in (x, ProductElement(x.op, norm_op - 0.5)):
-        member = (
-            abs(candidate.scalar.imag) <= tol.abs_tol
-            and norm_op <= candidate.scalar.real + tol.abs_tol
-        )
-        norm_bounded = (
-            abs(candidate.scalar.imag) <= tol.abs_tol
-            and prod_norm(candidate) <= candidate.scalar.real + tol.abs_tol
-        )
+        member = membership_slack(norm_op, candidate.scalar, tol) >= 0
+        norm_bounded = membership_slack(prod_norm(candidate), candidate.scalar, tol) >= 0
         # x is a cone member, the shifted candidate deliberately is not
         expected = candidate is x
         if member != norm_bounded or member != expected:
@@ -150,7 +139,7 @@ def _check_cstar(seed, prop, trial, tol):
 
 
 def _check_unit_membership(seed, prop, trial, tol):
-    return _membership_slack(unit_element(_trial_dim(trial)), tol)
+    return cone_slack(unit_element(_trial_dim(trial)), tol)
 
 
 _AXIOM_CHECKS = (

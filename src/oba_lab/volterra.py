@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from . import algebra
-from .algebra import ProductElement
+from .algebra import membership_slack
 from .errors import ComputationError
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
-from .spectral import cluster_radius, eigenvalues, spectral_norm
+from .spectral import cluster_radius, eigenvalues, gelfand_radius, spectral_norm
 
 MAX_GRID = 4096
 
@@ -92,16 +91,6 @@ class WitnessReport:
     norm_excess: float
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    h: float
-    norm_T: float
-    cluster_radius: float
-    deviation: float
-    norm_excess: float
-
-
 def build_witness(
     n: int, rule: QuadratureRule, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> WitnessReport:
@@ -109,48 +98,37 @@ def build_witness(
 
     xi_used = max(1, ||T_n||): at finite n the norm can exceed 1 by a
     discretization error (left-endpoint rule), and the report then records the
-    excess instead of silently failing cone membership.
+    excess instead of silently failing cone membership.  Each verdict needs
+    one norm: (T_n, xi) is in the cone by ||T_n|| against xi, and it is above
+    the unit iff (T_n - I, xi - 1) is in the cone, by ||T_n - I|| against xi - 1.
     """
     v = volterra_matrix(n, rule)
     t = resolvent_at_identity(v)
     norm_t = spectral_norm(t)
+    deviation = spectral_norm(t.entries - np.eye(n))
     xi = max(1.0, norm_t)
-    element = ProductElement(t, xi)
     return WitnessReport(
         n=n,
         rule=rule,
         h=1.0 / n,
         norm_T=norm_t,
         xi_used=xi,
-        cone_member=algebra.cone_contains(element, tol),
+        cone_member=membership_slack(norm_t, xi, tol) >= 0,
         cluster_radius=cluster_radius(eigenvalues(t), 1.0),
-        deviation=spectral_norm(t.entries - np.eye(n)),
-        geq_unit=algebra.geq_unit(element, tol),
+        deviation=deviation,
+        geq_unit=membership_slack(deviation, xi - 1.0, tol) >= 0,
         norm_excess=norm_t - 1.0,
     )
 
 
 def convergence_study(
     ns, rule: QuadratureRule, tol: ToleranceConfig = DEFAULT_TOLERANCE
-) -> list[ConvergenceRow]:
-    """One row per grid size, ascending; each row is a witness projection."""
+) -> list[WitnessReport]:
+    """One witness per distinct grid size, ascending."""
     sizes = sorted(set(int(n) for n in ns))
     if not sizes:
         raise ValueError("convergence_study needs at least one grid size")
-    rows = []
-    for n in sizes:
-        w = build_witness(n, rule, tol)
-        rows.append(
-            ConvergenceRow(
-                n=w.n,
-                h=w.h,
-                norm_T=w.norm_T,
-                cluster_radius=w.cluster_radius,
-                deviation=w.deviation,
-                norm_excess=w.norm_excess,
-            )
-        )
-    return rows
+    return [build_witness(n, rule, tol) for n in sizes]
 
 
 def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
@@ -158,8 +136,7 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
 
     The rule is fixed to left endpoint so that T - I is nilpotent like its
     continuous counterpart.  Requires k_max < n: from k = n on, the powers
-    vanish identically and the normalized quantity is meaningless.  Computed
-    in log scale with per-step renormalization.
+    vanish identically and the normalized quantity is meaningless.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -167,16 +144,4 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
         raise ValueError(f"k_max must be smaller than the grid size, got k_max={k_max}, n={n}")
     v = volterra_matrix(n, QuadratureRule.LEFT_ENDPOINT)
     t = resolvent_at_identity(v)
-    base = t.entries - np.eye(n)
-    out = np.zeros(k_max)
-    power = base
-    log_scale = 0.0
-    for k in range(1, k_max + 1):
-        s = spectral_norm(power)
-        if s == 0.0:
-            break
-        out[k - 1] = k * float(np.exp((np.log(s) + log_scale) / k))
-        if k < k_max:
-            log_scale += np.log(s)
-            power = (power / s) @ base
-    return out
+    return np.arange(1, k_max + 1) * gelfand_radius(t.entries - np.eye(n), k_max)

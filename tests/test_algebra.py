@@ -11,11 +11,13 @@ from oba_lab import (
     ToleranceConfig,
     cone_contains,
     cone_leq,
+    cone_slack,
     geq_unit,
     prod_involution,
     prod_mul,
     prod_norm,
     random_cone_element,
+    spectral_norm,
     unit_element,
 )
 
@@ -119,6 +121,25 @@ class TestConePredicates:
 
     def test_complex_scalar_outside(self):
         assert not cone_contains(elem(np.zeros((2, 2)), 1j), TOL)
+
+    # abs_tol, the norm 1.5 and the boundary scalar 1.25 are exact binary fractions
+    @pytest.mark.parametrize(
+        "scalar, inside",
+        [
+            (1.25, True),  # ||A|| == Re(scalar) + abs_tol exactly
+            (np.nextafter(1.25, 2.0), True),
+            (np.nextafter(1.25, 0.0), False),
+            (complex(2.0, 0.25), True),  # |Im(scalar)| == abs_tol exactly
+            (complex(2.0, -0.25), True),
+            (complex(2.0, np.nextafter(0.25, 1.0)), False),
+            (-1.0, False),
+        ],
+    )
+    def test_slack_sign_is_membership_on_the_boundary(self, scalar, inside):
+        tol = ToleranceConfig(abs_tol=0.25)
+        x = elem(np.diag([1.5, -0.5]), scalar)
+        assert spectral_norm(x.op) == 1.5
+        assert cone_contains(x, tol) == (cone_slack(x, tol) >= 0) == inside
 
 
 class TestRandomConeElement:

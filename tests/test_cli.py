@@ -137,6 +137,30 @@ def test_output_file_is_utf8(tmp_path, capsys):
     assert doc["report"]["n"] == 16
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run_cli(
+        ["witness", "--n", "8", "--no-timestamp", "--output", str(path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write report to {path}: ")
+
+
+def test_converge_left_gate_passes_at_default_grids(capsys):
+    code, out, _ = run_cli(["converge", "--rule", "left", "--no-timestamp"], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_converge_left_gate_fails_without_norm_excess(capsys):
+    # T_1 = I: the spectrum is {1} but the norm does not exceed 1
+    code, out, _ = run_cli(["converge", "--ns", "1", "--rule", "left", "--no-timestamp"], capsys)
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
 def test_env_seed_fallback(monkeypatch, capsys):
     monkeypatch.setenv("OBA_LAB_SEED", "777")
     _, out, _ = run_cli(["axioms", "--trials", "10", "--no-timestamp"], capsys)

@@ -7,12 +7,15 @@ import pytest
 
 from oba_lab import (
     MatrixOperator,
+    ProductElement,
     QuadratureRule,
     ToleranceConfig,
     build_witness,
+    cone_contains,
     convergence_study,
     eigenvalues,
     gelfand_radius,
+    geq_unit,
     growth_diagnostic,
     multiset_distance,
     resolvent_at_identity,
@@ -140,6 +143,14 @@ class TestWitness:
         for rule in QuadratureRule:
             w = build_witness(32, rule, TOL)
             assert w.xi_used == max(1.0, w.norm_T)
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    @pytest.mark.parametrize("n", [2, 64, 600])
+    def test_verdicts_match_the_cone_predicates(self, n, rule):
+        w = build_witness(n, rule, TOL)
+        element = ProductElement(resolvent_at_identity(volterra_matrix(n, rule)), w.xi_used)
+        assert w.cone_member == cone_contains(element, TOL)
+        assert w.geq_unit == geq_unit(element, TOL)
 
 
 class TestConvergence:
