@@ -33,6 +33,7 @@ from .spectral import (
     eigenvalues,
     gelfand_radius,
     multiset_distance,
+    operator_norm,
     product_spectrum,
     spectral_norm,
     spectrum_report,
@@ -76,6 +77,7 @@ __all__ = [
     "geq_unit",
     "growth_diagnostic",
     "multiset_distance",
+    "operator_norm",
     "prod_involution",
     "prod_mul",
     "prod_norm",

@@ -13,7 +13,7 @@ def _validated_square(entries) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return arr
@@ -30,7 +30,7 @@ class MatrixOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _validated_square(self.entries).copy()
+        arr = _validated_square(self.entries)  # a fresh C-ordered copy
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

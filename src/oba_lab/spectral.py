@@ -1,4 +1,5 @@
-"""Dense spectral computations: operator norms, eigenvalue sets, and spectrum utilities."""
+"""Spectral computations: operator norms (of dense matrices, or matrix-free from a
+matvec), eigenvalue sets, and spectrum utilities."""
 
 from __future__ import annotations
 
@@ -38,11 +39,29 @@ def spectral_norm(a) -> float:
     return _lanczos_norm(m)
 
 
+def operator_norm(dim: int, matvec, rmatvec) -> float:
+    """Largest singular value of a real dim x dim operator given only by its action.
+
+    `matvec(x)` must return A x and `rmatvec(x)` must return A^T x for a real
+    vector x of length dim.  The norm comes from the same seeded Lanczos
+    iteration on the Gram operator A^T A that `spectral_norm` runs above
+    dimension 512, so it is a Ritz value: a lower bound that approaches the
+    norm from below, with the same step cap and stopping rule.  Complex
+    operators are not supported.
+    """
+    if dim < 1:
+        raise ValueError(f"operator dimension must be at least 1, got {dim}")
+    return _gram_lanczos(dim, lambda v: rmatvec(matvec(v)), complex_input=False)
+
+
 def _lanczos_norm(m: np.ndarray) -> float:
-    n = m.shape[0]
     complex_input = np.iscomplexobj(m) and bool(np.any(m.imag != 0))
     work = m if complex_input else (m.real if np.iscomplexobj(m) else m)
+    return _gram_lanczos(m.shape[0], lambda v: work.conj().T @ (work @ v), complex_input)
 
+
+def _gram_lanczos(n: int, gram, complex_input: bool) -> float:
+    """sqrt of the top Ritz value of the Hermitian PSD operator `gram` from a seeded start."""
     rng = np.random.default_rng(_LANCZOS_SEED)
     v = rng.standard_normal(n)
     if complex_input:
@@ -50,14 +69,14 @@ def _lanczos_norm(m: np.ndarray) -> float:
     v = v / np.linalg.norm(v)
 
     steps = min(n, _LANCZOS_MAX_STEPS)
-    basis = np.zeros((n, steps), dtype=work.dtype)
+    basis = np.zeros((n, steps), dtype=np.complex128 if complex_input else np.float64)
     alphas = np.zeros(steps)
     betas = np.zeros(steps)
     count = 0
     lam_prev = -np.inf
     for j in range(steps):
         basis[:, j] = v
-        w = work.conj().T @ (work @ v)
+        w = gram(v)
         alpha = float(np.real(np.vdot(v, w)))
         alphas[j] = alpha
         count = j + 1

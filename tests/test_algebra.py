@@ -50,6 +50,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            np.arange(9.0).reshape(3, 3),
+            np.arange(9.0).reshape(3, 3).T,  # Fortran-ordered
+            np.arange(9).reshape(3, 3) * (1 + 1j),
+            np.arange(9).reshape(3, 3),
+        ],
+    )
+    def test_entries_are_a_private_c_ordered_copy(self, source):
+        op = MatrixOperator(source)
+        assert not op.entries.flags.writeable
+        assert op.entries.flags.c_contiguous
+        assert not np.shares_memory(op.entries, source)
+        source[0, 1] = 7
+        assert op.entries[0, 1] != 7
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             ToleranceConfig(abs_tol=-1.0)

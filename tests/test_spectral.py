@@ -14,6 +14,7 @@ from oba_lab import (
     eigenvalues,
     gelfand_radius,
     multiset_distance,
+    operator_norm,
     product_spectrum,
     spectral_norm,
     spectrum_report,
@@ -81,6 +82,14 @@ class TestSpectralNorm:
 
     def test_lanczos_path_zero_matrix(self):
         assert spectral_norm(np.zeros((600, 600))) == 0.0
+
+    def test_operator_norm_runs_the_dense_lanczos_loop(self):
+        a = np.random.default_rng(5).standard_normal((600, 600))
+        assert operator_norm(600, lambda x: a @ x, lambda x: a.T @ x) == spectral_norm(a)
+
+    def test_operator_norm_rejects_empty_dimension(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            operator_norm(0, lambda x: x, lambda x: x)
 
 
 class TestEigenvalues:

@@ -1,6 +1,7 @@
 """Tests for the quadrature matrices, the resolvent, and the witness harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oba_lab import (
     QuadratureRule,
     ToleranceConfig,
     build_witness,
+    cluster_radius,
     cone_contains,
     convergence_study,
     eigenvalues,
@@ -18,11 +20,13 @@ from oba_lab import (
     geq_unit,
     growth_diagnostic,
     multiset_distance,
+    operator_norm,
     resolvent_at_identity,
     resolvent_residual,
     spectral_norm,
     volterra_matrix,
 )
+from oba_lab.volterra import _resolvent_matvecs
 
 TOL = ToleranceConfig()
 
@@ -58,6 +62,8 @@ class TestVolterraMatrix:
         for bad in (0, -1, 4097):
             with pytest.raises(ValueError):
                 volterra_matrix(bad, QuadratureRule.TRAPEZOID)
+            with pytest.raises(ValueError, match="grid size"):
+                build_witness(bad, QuadratureRule.TRAPEZOID, TOL)
 
     def test_nilpotency_index_matches_grid(self):
         n = 8
@@ -151,6 +157,45 @@ class TestWitness:
         element = ProductElement(resolvent_at_identity(volterra_matrix(n, rule)), w.xi_used)
         assert w.cone_member == cone_contains(element, TOL)
         assert w.geq_unit == geq_unit(element, TOL)
+
+
+class TestMatrixFreeWitness:
+    """Above dimension 512 the witness never forms T_n; the dense path is its oracle."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    @pytest.mark.parametrize("n", [513, 600, 1024])
+    def test_products_match_the_dense_resolvent(self, n, rule, shift):
+        t = resolvent_at_identity(volterra_matrix(n, rule)).entries - shift * np.eye(n)
+        matvec, rmatvec = _resolvent_matvecs(n, rule, shift)
+        x = np.random.default_rng(n).standard_normal(n)
+        np.testing.assert_allclose(matvec(x), t @ x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rmatvec(x), t.T @ x, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    @pytest.mark.parametrize("n", [600, 1024])
+    def test_operator_norm_matches_dense_norm(self, n, rule):
+        t = resolvent_at_identity(volterra_matrix(n, rule)).entries
+        for shift in (0.0, 1.0):
+            dense = spectral_norm(t - shift * np.eye(n))
+            matrix_free = operator_norm(n, *_resolvent_matvecs(n, rule, shift))
+            assert matrix_free == pytest.approx(dense, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    @pytest.mark.parametrize("n", [1, 2, 7, 512, 513, 4096])
+    def test_cluster_radius_is_bitwise_the_eigenvalue_path(self, n, rule):
+        t = resolvent_at_identity(volterra_matrix(n, rule))
+        assert build_witness(n, rule, TOL).cluster_radius == cluster_radius(eigenvalues(t), 1.0)
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    def test_largest_grid_allocates_no_square_matrix(self, rule):
+        tracemalloc.start()
+        try:
+            build_witness(4096, rule, TOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # one dense 4096 x 4096 float64 matrix is 128 MiB
 
 
 class TestConvergence:
