@@ -43,15 +43,25 @@ def operator_norm(dim: int, matvec, rmatvec) -> float:
     """Largest singular value of a real dim x dim operator given only by its action.
 
     `matvec(x)` must return A x and `rmatvec(x)` must return A^T x for a real
-    vector x of length dim.  The norm comes from the same seeded Lanczos
-    iteration on the Gram operator A^T A that `spectral_norm` runs above
-    dimension 512, so it is a Ritz value: a lower bound that approaches the
-    norm from below, with the same step cap and stopping rule.  Complex
-    operators are not supported.
+    vector x of length dim.  Up to dimension 512 the matrix is assembled one
+    column at a time from `matvec(e_j)` and normed by dense SVD, exactly as
+    `spectral_norm` would norm it.  Above that the norm comes from the same
+    seeded Lanczos iteration on the Gram operator A^T A that `spectral_norm`
+    runs there, so it is a Ritz value: a lower bound that approaches the norm
+    from below, with the same step cap and stopping rule.  Only real operators
+    are supported: a complex product raises ValueError on either path.
     """
     if dim < 1:
         raise ValueError(f"operator dimension must be at least 1, got {dim}")
-    return _gram_lanczos(dim, lambda v: rmatvec(matvec(v)), complex_input=False)
+    if dim <= _SVD_MAX_DIM:
+        return spectral_norm(_real_product(np.column_stack([matvec(e) for e in np.eye(dim)])))
+    return _gram_lanczos(dim, lambda v: _real_product(rmatvec(_real_product(matvec(v)))), False)
+
+
+def _real_product(y) -> np.ndarray:
+    if np.iscomplexobj(y):
+        raise ValueError("operator_norm supports real operators only, got a complex product")
+    return y
 
 
 def _lanczos_norm(m: np.ndarray) -> float:

@@ -102,10 +102,11 @@ def _check_multiplicativity(seed, prop, trial, tol):
 
 def _check_properness(seed, prop, trial, tol):
     x = random_cone_element(_trial_seed(seed, prop, trial), _trial_dim(trial), _trial_scale(trial))
-    if prod_norm(x) <= tol.abs_tol:
+    norm_op = spectral_norm(x.op)  # ||-A|| = ||A||: one SVD serves x and -x
+    if max(norm_op, abs(x.scalar)) <= tol.abs_tol:
         return math.inf  # vacuous at the cone tip
     # -x must miss membership: its real-part slack has to be negative
-    return -cone_slack(-x, tol)
+    return -membership_slack(norm_op, -x.scalar, tol)
 
 
 def _check_normality(seed, prop, trial, tol):
@@ -122,7 +123,8 @@ def _check_ice_cream(seed, prop, trial, tol):
     slack = math.inf
     for candidate in (x, ProductElement(x.op, norm_op - 0.5)):
         member = membership_slack(norm_op, candidate.scalar, tol) >= 0
-        norm_bounded = membership_slack(prod_norm(candidate), candidate.scalar, tol) >= 0
+        prod = max(norm_op, abs(candidate.scalar))  # prod_norm(candidate), one SVD fewer
+        norm_bounded = membership_slack(prod, candidate.scalar, tol) >= 0
         # x is a cone member, the shifted candidate deliberately is not
         expected = candidate is x
         if member != norm_bounded or member != expected:

@@ -21,14 +21,7 @@ from scipy.linalg import solve_triangular
 from .algebra import membership_slack
 from .errors import ComputationError
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
-from .spectral import (
-    _SVD_MAX_DIM,
-    cluster_radius,
-    eigenvalues,
-    gelfand_radius,
-    operator_norm,
-    spectral_norm,
-)
+from .spectral import gelfand_radius, operator_norm, spectral_norm
 
 MAX_GRID = 4096
 
@@ -103,9 +96,8 @@ def _resolvent_matvecs(n: int, rule: QuadratureRule, shift: float):
 
     T_n is lower triangular Toeplitz with the closed-form column of
     `_resolvent_symbol`, so each product is one cumulative sum of r^(-j) x_j
-    (or of r^i x_i).  On the grids it serves (n > 512) r^n is within 1e-3 of
-    1/e, so the weights r^(+-j) stay within about [1/e, e] and need no
-    rescaling.
+    (or of r^i x_i).  For every n >= 1 and k < n the weights r^(+-k) stay
+    within [1/e, e], so they need no rescaling.
     """
     a, r = _resolvent_symbol(n, rule)
     diag = 1.0 / a - shift
@@ -157,21 +149,14 @@ def build_witness(
     one norm: (T_n, xi) is in the cone by ||T_n|| against xi, and it is above
     the unit iff (T_n - I, xi - 1) is in the cone, by ||T_n - I|| against xi - 1.
 
-    Up to dimension 512, T_n is formed by the triangular solve and normed by
-    dense SVD.  Above it no n x n array is built: both norms come from
-    `operator_norm` on the O(n) Toeplitz products of `_resolvent_matvecs`, and
-    the spectrum of the triangular T_n is its diagonal c_0 alone.
+    One path serves every n: both norms come from `operator_norm` on the O(n)
+    Toeplitz products of `_resolvent_matvecs`, with no V_n formed and no system
+    solved, and the spectrum of the triangular T_n is its diagonal c_0 alone.
     """
     _check_grid(n)
-    if n <= _SVD_MAX_DIM:
-        t = resolvent_at_identity(volterra_matrix(n, rule))
-        norm_t = spectral_norm(t)
-        deviation = spectral_norm(t.entries - np.eye(n))
-        radius = cluster_radius(eigenvalues(t), 1.0)
-    else:
-        norm_t = operator_norm(n, *_resolvent_matvecs(n, rule, 0.0))
-        deviation = operator_norm(n, *_resolvent_matvecs(n, rule, 1.0))
-        radius = abs(1.0 / _resolvent_symbol(n, rule)[0] - 1.0)
+    norm_t = operator_norm(n, *_resolvent_matvecs(n, rule, 0.0))
+    deviation = operator_norm(n, *_resolvent_matvecs(n, rule, 1.0))
+    radius = abs(1.0 / _resolvent_symbol(n, rule)[0] - 1.0)
     xi = max(1.0, norm_t)
     return WitnessReport(
         n=n,

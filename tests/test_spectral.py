@@ -86,6 +86,21 @@ class TestSpectralNorm:
     def test_operator_norm_runs_the_dense_lanczos_loop(self):
         a = np.random.default_rng(5).standard_normal((600, 600))
         assert operator_norm(600, lambda x: a @ x, lambda x: a.T @ x) == spectral_norm(a)
+        # up to dim 512 the columns a @ e_j are exact, so the SVD sees a itself
+        a = a[:64, :64].copy()
+        assert operator_norm(64, lambda x: a @ x, lambda x: a.T @ x) == spectral_norm(a)
+
+    @pytest.mark.parametrize("dim", [64, 600])
+    def test_operator_norm_rejects_complex_operators(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        with pytest.raises(ValueError, match="real operators only"):
+            operator_norm(dim, lambda x: a @ x, lambda x: a.conj().T @ x)
+
+    def test_operator_norm_rejects_a_complex_transpose(self):
+        a = np.random.default_rng(8).standard_normal((600, 600))
+        with pytest.raises(ValueError, match="real operators only"):
+            operator_norm(600, lambda x: a @ x, lambda x: (a.T @ x).astype(np.complex128))
 
     def test_operator_norm_rejects_empty_dimension(self):
         with pytest.raises(ValueError, match="at least 1"):
