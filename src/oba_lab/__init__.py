@@ -40,6 +40,7 @@ from .spectral import (
 )
 from .suites import PropertyResult, SuiteReport, run_axiom_suite, run_rigidity_suite
 from .volterra import (
+    GrowthReport,
     QuadratureRule,
     WitnessReport,
     build_witness,
@@ -55,6 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ComputationError",
     "DEFAULT_TOLERANCE",
+    "GrowthReport",
     "MatrixOperator",
     "PreconditionError",
     "ProductElement",

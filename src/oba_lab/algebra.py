@@ -13,7 +13,7 @@ from numbers import Number
 import numpy as np
 
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
-from .spectral import spectral_norm
+from .spectral import spectral_norm, spectral_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,19 +102,20 @@ def prod_involution(x: ProductElement) -> ProductElement:
     return ProductElement(x.op.adjoint(), np.conj(x.scalar))
 
 
-def membership_slack(norm: float, scalar: complex, tol: ToleranceConfig) -> float:
+def membership_slack(norm, scalar, tol: ToleranceConfig):
     """Margin of the cone test for a pair whose matrix part has the given norm.
 
     Nonnegative iff the scalar is essentially real and norm <= Re(scalar).
     Both comparisons carry the additive abs_tol, since exact realness is
-    unattainable after float products.
+    unattainable after float products.  Works elementwise on arrays of norms
+    and scalars as well.
     """
-    return min(tol.abs_tol - abs(scalar.imag), scalar.real + tol.abs_tol - norm)
+    return np.minimum(tol.abs_tol - np.abs(np.imag(scalar)), np.real(scalar) + tol.abs_tol - norm)
 
 
 def cone_slack(x: ProductElement, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> float:
     """How far x sits inside the order cone (negative: outside), with one norm evaluation."""
-    return membership_slack(spectral_norm(x.op), x.scalar, tol)
+    return float(membership_slack(spectral_norm(x.op), x.scalar, tol))
 
 
 def cone_contains(x: ProductElement, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
@@ -140,25 +141,48 @@ def random_cone_element(seed: int, dim: int, scale: float) -> ProductElement:
     The matrix part is complex Gaussian rescaled to a random norm in
     [0, scale]; the scalar is drawn uniformly between that norm and scale, so
     the cone boundary (scalar = ||A||), where the order predicates are
-    sharpest, gets covered.  Deterministic for a fixed seed.
+    sharpest, gets covered.  Deterministic for a fixed seed; the one-element
+    case of `random_cone_stack`.
+    """
+    mats, scalars, _ = random_cone_stack([seed], dim, scale)
+    return ProductElement(MatrixOperator(mats[0]), complex(scalars[0]))
+
+
+def random_cone_stack(seeds, dim: int, scales) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded random cone members of one dimension, one per seed, as stacked arrays.
+
+    Element i is `random_cone_element(seeds[i], dim, scales[i])` bit for bit:
+    it is drawn from its own `default_rng(seeds[i])` in the same order, and
+    only the norms are taken over the whole stack.  `scales` is one scale or
+    one per seed.  Returns the (count, dim, dim) matrix parts, the real scalar
+    parts, and the spectral norm of each matrix part.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    if not np.isfinite(scale) or scale < 0:
-        raise ValueError(f"scale must be finite and nonnegative, got {scale}")
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    norm_fraction = rng.uniform()
-    scalar_fraction = rng.uniform()
-    if scale == 0.0:
-        return ProductElement(MatrixOperator.zeros(dim), 0.0)
-    raw_norm = spectral_norm(raw)
-    if raw_norm == 0.0:
-        return ProductElement(MatrixOperator.zeros(dim), complex(scalar_fraction * scale))
-    mat = raw * (norm_fraction * scale / raw_norm)
-    norm = spectral_norm(mat)
-    if norm > scale:  # one-ulp safety, essentially unreachable
-        mat = mat * (scale / norm)
-        norm = spectral_norm(mat)
-    xi = norm + scalar_fraction * (scale - norm)
-    return ProductElement(MatrixOperator(mat), complex(min(xi, scale)))
+    count = len(seeds)
+    scales = np.broadcast_to(np.asarray(scales, dtype=np.float64), (count,))
+    bad = ~(np.isfinite(scales) & (scales >= 0))
+    if bad.any():
+        raise ValueError(f"scale must be finite and nonnegative, got {scales[bad][0]}")
+    real, imag = np.empty((2, count, dim, dim))
+    fractions = np.empty((count, 2))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=real[i])
+        rng.standard_normal(out=imag[i])
+        rng.random(out=fractions[i])  # two uniform draws on [0, 1)
+    raw = real + 1j * imag
+    norm_fraction, scalar_fraction = fractions.T
+    raw_norms = spectral_norms(raw)
+    # scale 0 and a zero draw both give a zero matrix part
+    live = (scales > 0) & (raw_norms > 0)
+    raw[~live] = 0.0
+    factor = np.divide(norm_fraction * scales, raw_norms, out=np.zeros(count), where=live)
+    mats = raw * factor[:, np.newaxis, np.newaxis]
+    norms = spectral_norms(mats)
+    over = norms > scales  # one-ulp safety, essentially unreachable
+    if over.any():
+        mats[over] = mats[over] * (scales[over] / norms[over])[:, np.newaxis, np.newaxis]
+        norms[over] = spectral_norms(mats[over])
+    scalars = np.minimum(norms + scalar_fraction * (scales - norms), scales)
+    return mats, scalars, norms

@@ -21,7 +21,13 @@ from pathlib import Path
 from .errors import ComputationError
 from .operators import ToleranceConfig
 from .suites import run_axiom_suite, run_rigidity_suite
-from .volterra import QuadratureRule, build_witness, convergence_study, growth_diagnostic
+from .volterra import (
+    GrowthReport,
+    QuadratureRule,
+    build_witness,
+    convergence_study,
+    growth_diagnostic,
+)
 
 DEFAULT_NS = (16, 32, 64, 128, 256, 512, 1024)
 
@@ -126,21 +132,12 @@ def _run_rigidity(config: RunConfig):
 
 def _run_growth(config: RunConfig):
     values = growth_diagnostic(config.n, config.k_max)
-    a_list = [float(v) for v in values]
-    max_a = max(a_list)
-    report = {
-        "n": config.n,
-        "k_max": config.k_max,
-        "rule": QuadratureRule.LEFT_ENDPOINT.value,
-        "a_k": a_list,
-        "max_a": max_a,
-        "argmax_k": 1 + a_list.index(max_a),
-        "a_last": a_list[-1],
-    }
+    growth = GrowthReport(config.n, config.k_max, tuple(float(v) for v in values))
+    report = _record(growth, "max_a", "argmax_k", "a_last")
     # pass thresholds calibrated for the default n=256, k_max=64 run
     targets = {"max_a_cap": 3.0, "a_last_floor": 1.0}
-    passed = max_a <= 3.0 and a_list[-1] >= 1.0
-    rows = [{"k": k + 1, "a_k": v} for k, v in enumerate(a_list)]
+    passed = growth.max_a <= 3.0 and growth.a_last >= 1.0
+    rows = [{"k": k, "a_k": v} for k, v in enumerate(growth.a_k, start=1)]
     return report, targets, passed, (["k", "a_k"], rows)
 
 

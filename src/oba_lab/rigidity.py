@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ComputationError, PreconditionError
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
-from .spectral import cluster_radius, eigenvalues, spectral_norm
+from .spectral import cluster_radius, eigenvalues, spectral_norm, spectral_norms
 
 
 @dataclass(frozen=True)
@@ -29,44 +29,72 @@ def random_strict_nilpotent(seed: int, dim: int, scale: float) -> MatrixOperator
     """Seeded strictly upper triangular matrix with peak entry modulus in [scale/2, scale].
 
     Entries are complex Gaussian rescaled so the largest modulus lands in
-    [0.6, 1.0) * scale; every output is nilpotent of index at most dim.
+    [0.6, 1.0) * scale; every output is nilpotent of index at most dim.  The
+    one-element case of `random_strict_nilpotent_stack`.
+    """
+    return MatrixOperator(random_strict_nilpotent_stack([seed], dim, scale)[0])
+
+
+def random_strict_nilpotent_stack(seeds, dim: int, scales) -> np.ndarray:
+    """(count, dim, dim) stack: matrix i is `random_strict_nilpotent(seeds[i], dim, scales[i])`.
+
+    Each matrix is drawn and rescaled from its own `default_rng(seeds[i])`
+    exactly as the one-element case does; `scales` is one scale or one per seed.
     """
     if dim < 2:
         raise ValueError(f"dim must be at least 2 for a nonzero strict triangle, got {dim}")
-    if not np.isfinite(scale) or scale <= 0:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    rng = np.random.default_rng(seed)
+    count = len(seeds)
+    scales = np.broadcast_to(np.asarray(scales, dtype=np.float64), (count,))
+    bad = ~(np.isfinite(scales) & (scales > 0))
+    if bad.any():
+        raise ValueError(f"scale must be positive and finite, got {scales[bad][0]}")
     rows, cols = np.triu_indices(dim, 1)
-    values = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
-    peak_fraction = rng.uniform(0.6, 1.0)
-    peak = np.abs(values).max()
-    if peak == 0.0:  # measure-zero draw; keep the contract anyway
-        values[0] = 1.0
-        peak = 1.0
-    values = values * (peak_fraction * scale / peak)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[rows, cols] = values
-    return MatrixOperator(mat)
+    values = np.empty((count, rows.size), dtype=np.complex128)
+    for i, (seed, scale) in enumerate(zip(seeds, scales.tolist())):
+        rng = np.random.default_rng(seed)
+        draw = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+        peak_fraction = rng.uniform(0.6, 1.0)
+        peak = np.abs(draw).max()
+        if peak == 0.0:  # measure-zero draw; keep the contract anyway
+            draw[0] = 1.0
+            peak = 1.0
+        values[i] = draw * (peak_fraction * scale / peak)
+    mats = np.zeros((count, dim, dim), dtype=np.complex128)
+    mats[:, rows, cols] = values
+    return mats
 
 
 def random_unitary(seed: int, dim: int) -> MatrixOperator:
     """Seeded Haar-distributed unitary (QR of a complex Gaussian, phases fixed)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return MatrixOperator(random_unitary_stack([seed], dim)[0])
+
+
+def random_unitary_stack(seeds, dim: int) -> np.ndarray:
+    """(count, dim, dim) stack whose matrix i is `random_unitary(seeds[i], dim)`, one stacked QR."""
+    z = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return MatrixOperator(q * (d / np.abs(d)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
 def rigidity_gap(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> RigidityVerdict:
     """Norm excess and deviation from the identity, with no spectrum assumption."""
     arr = a.entries if isinstance(a, MatrixOperator) else np.asarray(a)
-    deviation = spectral_norm(arr - np.eye(arr.shape[0]))
+    norm_excess, deviation = (float(gap[0]) for gap in rigidity_gaps(arr[np.newaxis]))
     return RigidityVerdict(
-        norm_excess=spectral_norm(arr) - 1.0,
+        norm_excess=norm_excess,
         deviation=deviation,
         is_identity=deviation <= tol.abs_tol,
     )
+
+
+def rigidity_gaps(stack) -> tuple[np.ndarray, np.ndarray]:
+    """Norm excess ||A|| - 1 and deviation ||A - I|| of each matrix in a (count, dim, dim) stack."""
+    m = np.asarray(stack)
+    return spectral_norms(m) - 1.0, spectral_norms(m - np.eye(m.shape[-1]))
 
 
 def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> RigidityVerdict:

@@ -39,6 +39,20 @@ def spectral_norm(a) -> float:
     return _lanczos_norm(m)
 
 
+def spectral_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix in a (count, dim, dim) stack.
+
+    Each value is bitwise what `spectral_norm` returns for that matrix: up to
+    dimension 512 the whole stack goes through one stacked dense SVD, which
+    runs the same LAPACK call on every matrix; above that each matrix takes
+    the same Lanczos iteration in turn.
+    """
+    m = np.asarray(stack)
+    if m.shape[-2] <= _SVD_MAX_DIM:
+        return np.linalg.svd(m, compute_uv=False)[:, 0]
+    return np.array([_lanczos_norm(a) for a in m])
+
+
 def operator_norm(dim: int, matvec, rmatvec) -> float:
     """Largest singular value of a real dim x dim operator given only by its action.
 

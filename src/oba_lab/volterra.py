@@ -13,7 +13,7 @@ infinite-dimensional story.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -164,10 +164,10 @@ def build_witness(
         h=1.0 / n,
         norm_T=norm_t,
         xi_used=xi,
-        cone_member=membership_slack(norm_t, xi, tol) >= 0,
+        cone_member=bool(membership_slack(norm_t, xi, tol) >= 0),
         cluster_radius=radius,
         deviation=deviation,
-        geq_unit=membership_slack(deviation, xi - 1.0, tol) >= 0,
+        geq_unit=bool(membership_slack(deviation, xi - 1.0, tol) >= 0),
         norm_excess=norm_t - 1.0,
     )
 
@@ -182,6 +182,29 @@ def convergence_study(
     return [build_witness(n, rule, tol) for n in sizes]
 
 
+@dataclass(frozen=True)
+class GrowthReport:
+    """The growth sequence a_k of `growth_diagnostic` with its peak and last value."""
+
+    n: int
+    k_max: int
+    rule: QuadratureRule = field(default=QuadratureRule.LEFT_ENDPOINT, init=False)
+    a_k: tuple[float, ...]
+
+    @property
+    def max_a(self) -> float:
+        return max(self.a_k)
+
+    @property
+    def argmax_k(self) -> int:
+        """The first k at which a_k peaks."""
+        return 1 + self.a_k.index(self.max_a)
+
+    @property
+    def a_last(self) -> float:
+        return self.a_k[-1]
+
+
 def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     """Sequence a_k = k ||(T - I)^k||^(1/k), k = 1..k_max, on the left-endpoint grid.
 
@@ -189,6 +212,7 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     continuous counterpart.  Requires k_max < n: from k = n on, the powers
     vanish identically and the normalized quantity is meaningless.
     """
+    _check_grid(n)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     if k_max >= n:

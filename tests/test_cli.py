@@ -99,10 +99,13 @@ def test_growth_rejects_rule_flag(capsys):
     assert "unrecognized" in err
 
 
-def test_out_of_range_grid_is_usage_error(capsys):
-    code, _, err = run_cli(["witness", "--n", "5000"], capsys)
+@pytest.mark.parametrize(
+    "argv", [["witness", "--n", "5000"], ["growth", "--n", "0"], ["growth", "--n", "4097"]]
+)
+def test_out_of_range_grid_is_usage_error(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
     assert code == 2
-    assert "grid size" in err
+    assert "grid size must be in [1, 4096]" in err
 
 
 def test_unknown_rule_is_usage_error(capsys):

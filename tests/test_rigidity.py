@@ -22,6 +22,7 @@ from oba_lab import (
     spectral_norm,
     volterra_matrix,
 )
+from oba_lab.rigidity import random_strict_nilpotent_stack, random_unitary_stack, rigidity_gaps
 
 TOL = ToleranceConfig()
 GOLDEN_EXCESS = (1 + math.sqrt(5)) / 2 - 1
@@ -62,6 +63,28 @@ class TestNilpotentGenerator:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             random_strict_nilpotent(0, 3, 0.0)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dim", [2, 9, 16])
+    def test_stacks_hold_the_one_element_draws_bitwise(self, dim):
+        seeds, scales = [4, 5, 2**40], [0.5, 2.0, 1.5]
+        nil = random_strict_nilpotent_stack(seeds, dim, scales)
+        unitaries = random_unitary_stack(seeds, dim)
+        for i, (seed, scale) in enumerate(zip(seeds, scales)):
+            assert nil[i].tobytes() == random_strict_nilpotent(seed, dim, scale).entries.tobytes()
+            assert unitaries[i].tobytes() == random_unitary(seed, dim).entries.tobytes()
+
+    def test_stacked_gaps_are_the_per_matrix_gaps(self):
+        stack = np.eye(6) + random_strict_nilpotent_stack([1, 2, 3], 6, 1.0)
+        excess, deviation = rigidity_gaps(stack)
+        for i, a in enumerate(stack):
+            verdict = rigidity_gap(a, TOL)
+            assert (verdict.norm_excess, verdict.deviation) == (excess[i], deviation[i])
+
+    def test_stack_rejects_a_bad_scale_among_good_ones(self):
+        with pytest.raises(ValueError, match="got 0.0"):
+            random_strict_nilpotent_stack([1, 2], 3, [1.0, 0.0])
 
 
 class TestRigidityGap:

@@ -19,6 +19,7 @@ from oba_lab import (
     spectral_norm,
     spectrum_report,
 )
+from oba_lab.spectral import spectral_norms
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -105,6 +106,13 @@ class TestSpectralNorm:
     def test_operator_norm_rejects_empty_dimension(self):
         with pytest.raises(ValueError, match="at least 1"):
             operator_norm(0, lambda x: x, lambda x: x)
+
+
+    @pytest.mark.parametrize("dim", [2, 16, 513])
+    def test_stacked_norms_are_the_per_matrix_norms_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        stack = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+        assert spectral_norms(stack).tolist() == [spectral_norm(m) for m in stack]
 
 
 class TestEigenvalues:
