@@ -32,6 +32,7 @@ from .spectral import (
     cluster_radius,
     eigenvalues,
     gelfand_radius,
+    lower_toeplitz_norm,
     multiset_distance,
     operator_norm,
     product_spectrum,
@@ -78,6 +79,7 @@ __all__ = [
     "gelfand_radius",
     "geq_unit",
     "growth_diagnostic",
+    "lower_toeplitz_norm",
     "multiset_distance",
     "operator_norm",
     "prod_involution",

@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from oba_lab import (
     MatrixOperator,
     ProductElement,
+    QuadratureRule,
     cluster_radius,
     eigenvalues,
     gelfand_radius,
+    lower_toeplitz_norm,
     multiset_distance,
     operator_norm,
     product_spectrum,
+    resolvent_at_identity,
     spectral_norm,
     spectrum_report,
+    volterra_matrix,
 )
 from oba_lab.spectral import spectral_norms
 
@@ -107,6 +112,26 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="at least 1"):
             operator_norm(0, lambda x: x, lambda x: x)
 
+
+    @pytest.mark.parametrize("dim", [2, 64, 512, 513, 1024])
+    def test_lower_toeplitz_norm_is_the_assembled_norm(self, dim):
+        """Bitwise up to dim 512; above it FFT products against dense products."""
+        # the column of (T - I)^3 on the left-endpoint grid, as `growth` norms it
+        t = resolvent_at_identity(volterra_matrix(dim, QuadratureRule.LEFT_ENDPOINT))
+        power = t.entries - np.eye(dim)
+        growth_column = power @ (power @ power[:, 0])
+        random_column = np.random.default_rng(dim).standard_normal(dim)
+        for column in (growth_column, random_column):
+            dense = spectral_norm(toeplitz(column, np.zeros(dim)))
+            if dim <= 512:
+                assert lower_toeplitz_norm(column) == dense
+            else:
+                assert lower_toeplitz_norm(column) == pytest.approx(dense, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("column", [[], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1j]])
+    def test_lower_toeplitz_norm_rejects_a_non_vector(self, column):
+        with pytest.raises(ValueError, match="nonempty real vector"):
+            lower_toeplitz_norm(column)
 
     @pytest.mark.parametrize("dim", [2, 16, 513])
     def test_stacked_norms_are_the_per_matrix_norms_bitwise(self, dim):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -249,3 +250,44 @@ class TestGrowthDiagnostic:
             power = power @ base
             direct = k * np.linalg.svd(power, compute_uv=False)[0] ** (1 / k)
             assert values[k - 1] == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize(("n", "k_max"), [(64, 16), (256, 64), (600, 8)])
+    def test_matches_the_dense_power_chain(self, n, k_max):
+        """The closed-form columns against k * gelfand_radius(T - I), the dense oracle."""
+        t = resolvent_at_identity(volterra_matrix(n, QuadratureRule.LEFT_ENDPOINT))
+        dense = np.arange(1, k_max + 1) * gelfand_radius(t.entries - np.eye(n), k_max)
+        np.testing.assert_allclose(growth_diagnostic(n, k_max), dense, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(("n", "k_max"), [(16, 8), (32, 12)])
+    def test_matches_the_exact_norms(self, n, k_max):
+        """Every a_k against a 40-digit SVD of the exact Toeplitz power.
+
+        (T - I)^k is zero outside its lower-left (n - k) x (n - k) block, which
+        is lower-triangular Toeplitz with column c_k, ..., c_(n-1), so that
+        block carries every singular value that is not 0.
+        """
+        with mpmath.workdps(40):
+            h = mpmath.mpf(1) / n
+            exact = []
+            for k in range(1, k_max + 1):
+                size = n - k
+                column = [
+                    (-h) ** k * mpmath.binomial(k - 1 + i, k - 1) * (1 - h) ** i
+                    for i in range(size)
+                ]
+                block = mpmath.matrix(size, size)
+                for i in range(size):
+                    for j in range(i + 1):
+                        block[i, j] = column[i - j]
+                top = max(mpmath.svd_r(block, compute_uv=False))
+                exact.append(float(k * top ** (mpmath.mpf(1) / k)))
+        np.testing.assert_allclose(growth_diagnostic(n, k_max), exact, rtol=1e-14, atol=0)
+
+    def test_largest_grid_allocates_no_square_matrix(self):
+        tracemalloc.start()
+        try:
+            growth_diagnostic(4096, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # one dense 4096 x 4096 float64 matrix is 128 MiB
