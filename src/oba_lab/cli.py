@@ -9,17 +9,18 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
+import functools
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ComputationError
-from .operators import ToleranceConfig
+from .operators import DEFAULT_TOLERANCE, ToleranceConfig
 from .suites import run_axiom_suite, run_rigidity_suite
 from .volterra import (
     GrowthReport,
@@ -30,34 +31,6 @@ from .volterra import (
 )
 
 DEFAULT_NS = (16, 32, 64, 128, 256, 512, 1024)
-
-_RULE_NAMES = {
-    "trapezoid": QuadratureRule.TRAPEZOID,
-    "left": QuadratureRule.LEFT_ENDPOINT,
-    "left-endpoint": QuadratureRule.LEFT_ENDPOINT,
-    "leftendpoint": QuadratureRule.LEFT_ENDPOINT,
-}
-
-
-@dataclass
-class RunConfig:
-    """Validated arguments for one invocation."""
-
-    command: str
-    n: int = 1024
-    ns: tuple[int, ...] = DEFAULT_NS
-    rule: QuadratureRule = QuadratureRule.TRAPEZOID
-    seed: int = 42
-    trials: int = 10_000
-    k_max: int = 64
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    output_format: str = "json"
-    output_path: Path | None = None
-    timestamp: bool = True
-
-    def tolerance(self) -> ToleranceConfig:
-        return ToleranceConfig(self.abs_tol, self.rel_tol)
 
 
 def _env_seed() -> int:
@@ -86,8 +59,8 @@ def _record(obj, *properties: str) -> dict:
     return record
 
 
-def _run_witness(config: RunConfig):
-    w = build_witness(config.n, config.rule, config.tolerance())
+def _run_witness(args):
+    w = build_witness(args.n, QuadratureRule(args.rule), ToleranceConfig(abs_tol=args.abs_tol))
     report = _record(w)
     targets = {
         "norm_T": 1.0,
@@ -96,58 +69,44 @@ def _run_witness(config: RunConfig):
         "cone_member": True,
         "geq_unit": False,
     }
-    passed = w.cone_member and not w.geq_unit and w.deviation > config.abs_tol
+    passed = w.cone_member and not w.geq_unit and w.deviation > args.abs_tol
     return report, targets, passed, (list(report), [report])
 
 
-def _run_converge(config: RunConfig):
-    witnesses = convergence_study(config.ns, config.rule, config.tolerance())
+def _run_converge(args):
+    rule = QuadratureRule(args.rule)
+    witnesses = convergence_study(args.ns, rule)
     header = ["n", "h", "norm_T", "cluster_radius", "deviation", "norm_excess"]
     table = [{key: record[key] for key in header} for record in map(_record, witnesses)]
-    if config.rule is QuadratureRule.TRAPEZOID:
+    if rule is QuadratureRule.TRAPEZOID:
         # accretivity sandwich: spectral-radius lower bound, norm upper bound
         passed = all(1.0 / (1.0 + w.h / 2) <= w.norm_T <= 1.0 + 1e-10 for w in witnesses)
     else:
         # quasinilpotency: spectrum exactly {1}, yet the norm exceeds 1
         passed = all(w.cluster_radius == 0.0 and w.norm_excess > 0 for w in witnesses)
-    report = {"rule": config.rule.value, "rows": table}
+    report = {"rule": rule.value, "rows": table}
     targets = {"norm_T": 1.0, "cluster_radius": 0.0, "norm_excess": 0.0}
     return report, targets, passed, (header, table)
 
 
-def _suite_payload(suite):
+def _run_suite(run_suite, args):
+    seed = args.seed if args.seed is not None else _env_seed()
+    suite = run_suite(args.trials, seed, ToleranceConfig(args.abs_tol, args.rel_tol))
     report = _record(suite)
     properties = [_record(r, "passed") for r in report.pop("results")]
     report["properties"] = properties
     return report, {"failures": 0}, suite.all_passed, (list(properties[0]), properties)
 
 
-def _run_axioms(config: RunConfig):
-    return _suite_payload(run_axiom_suite(config.trials, config.seed, config.tolerance()))
-
-
-def _run_rigidity(config: RunConfig):
-    return _suite_payload(run_rigidity_suite(config.trials, config.seed, config.tolerance()))
-
-
-def _run_growth(config: RunConfig):
-    values = growth_diagnostic(config.n, config.k_max)
-    growth = GrowthReport(config.n, config.k_max, tuple(float(v) for v in values))
+def _run_growth(args):
+    values = growth_diagnostic(args.n, args.k_max)
+    growth = GrowthReport(args.n, args.k_max, tuple(float(v) for v in values))
     report = _record(growth, "max_a", "argmax_k", "a_last")
     # pass thresholds calibrated for the default n=256, k_max=64 run
     targets = {"max_a_cap": 3.0, "a_last_floor": 1.0}
-    passed = growth.max_a <= 3.0 and growth.a_last >= 1.0
+    passed = growth.max_a <= targets["max_a_cap"] and growth.a_last >= targets["a_last_floor"]
     rows = [{"k": k, "a_k": v} for k, v in enumerate(growth.a_k, start=1)]
     return report, targets, passed, (["k", "a_k"], rows)
-
-
-_HANDLERS = {
-    "witness": _run_witness,
-    "converge": _run_converge,
-    "axioms": _run_axioms,
-    "rigidity": _run_rigidity,
-    "growth": _run_growth,
-}
 
 
 def _csv_cell(value):
@@ -160,8 +119,8 @@ def _csv_cell(value):
     return str(value)
 
 
-def render(config: RunConfig, report, targets, passed, csv_spec) -> str:
-    if config.output_format == "csv":
+def render(args, report, targets, passed, csv_spec) -> str:
+    if args.format == "csv":
         header, rows = csv_spec
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -169,36 +128,24 @@ def render(config: RunConfig, report, targets, passed, csv_spec) -> str:
         for row in rows:
             writer.writerow([_csv_cell(row[key]) for key in header])
         return buf.getvalue()
-    doc = {"command": config.command, "report": report, "targets": targets, "passed": passed}
-    if config.timestamp:
+    doc = {"command": args.command, "report": report, "targets": targets, "passed": passed}
+    if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     return json.dumps(doc, indent=2) + "\n"
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command, write its report, and return the exit status."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise ValueError(f"unknown command {config.command!r}")
-    report, targets, passed, csv_spec = handler(config)
-    text = render(config, report, targets, passed, csv_spec)
-    if config.output_path is not None:
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command, write its report, and return the exit status."""
+    report, targets, passed, csv_spec = args.handler(args)
+    text = render(args, report, targets, passed, csv_spec)
+    if args.output is not None:
         try:
-            config.output_path.write_text(text, encoding="utf-8")
+            args.output.write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise ValueError(f"cannot write report to {config.output_path}: {exc}") from exc
+            raise ValueError(f"cannot write report to {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0 if passed else 1
-
-
-def _parse_rule(raw: str) -> QuadratureRule:
-    rule = _RULE_NAMES.get(raw.strip().lower())
-    if rule is None:
-        raise argparse.ArgumentTypeError(
-            f"unknown rule {raw!r}; choose from trapezoid, left"
-        )
-    return rule
 
 
 def _parse_ns(raw: str) -> tuple[int, ...]:
@@ -211,69 +158,60 @@ def _parse_ns(raw: str) -> tuple[int, ...]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="trial seed (default: $OBA_LAB_SEED or 42)")
-    parser.add_argument("--abs-tol", type=float, default=1e-9, dest="abs_tol")
-    parser.add_argument("--rel-tol", type=float, default=1e-9, dest="rel_tol")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        dest="output_format")
-    parser.add_argument("--output", type=Path, default=None, dest="output_path",
-                        help="write the report here instead of stdout (UTF-8)")
-    parser.add_argument("--no-timestamp", action="store_true",
-                        help="omit the timestamp for byte-identical reruns")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each declaring exactly the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="oba-lab",
         description="Product-algebra cone, resolvent witness, and rigidity verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    rule = {"choices": [r.value for r in QuadratureRule], "default": QuadratureRule.TRAPEZOID.value}
+    abs_tol = {"type": float, "default": DEFAULT_TOLERANCE.abs_tol}
+
     p = sub.add_parser("witness", help="fact sheet for the resolvent element at one grid size")
+    p.set_defaults(handler=_run_witness)
     p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--rule", type=_parse_rule, default=QuadratureRule.TRAPEZOID)
-    _add_common(p)
+    p.add_argument("--rule", **rule)
+    p.add_argument("--abs-tol", **abs_tol)
 
     p = sub.add_parser("converge", help="norm/spectrum convergence table over grid sizes")
+    p.set_defaults(handler=_run_converge)
     p.add_argument("--ns", type=_parse_ns, default=DEFAULT_NS)
-    p.add_argument("--rule", type=_parse_rule, default=QuadratureRule.TRAPEZOID)
-    _add_common(p)
+    p.add_argument("--rule", **rule)
 
-    p = sub.add_parser("axioms", help="seeded cone-axiom and norm-identity trials")
-    p.add_argument("--trials", type=int, default=10_000)
-    _add_common(p)
-
-    p = sub.add_parser("rigidity", help="seeded finite-dimensional rigidity trials")
-    p.add_argument("--trials", type=int, default=10_000)
-    _add_common(p)
+    for name, run_suite, summary in (
+        ("axioms", run_axiom_suite, "seeded cone-axiom and norm-identity trials"),
+        ("rigidity", run_rigidity_suite, "seeded finite-dimensional rigidity trials"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=functools.partial(_run_suite, run_suite))
+        p.add_argument("--trials", type=int, default=10_000)
+        p.add_argument("--seed", type=int, default=None,
+                       help="trial seed (default: $OBA_LAB_SEED or 42)")
+        p.add_argument("--abs-tol", **abs_tol)
+        p.add_argument("--rel-tol", type=float, default=DEFAULT_TOLERANCE.rel_tol)
 
     # growth has no --rule flag: the left-endpoint grid is the only one whose
     # resolvent deviation is nilpotent, so overrides are rejected as usage errors
     p = sub.add_parser("growth", help="normalized power-growth diagnostic of T - I")
+    p.set_defaults(handler=_run_growth)
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--k-max", type=int, default=64, dest="k_max")
-    _add_common(p)
+    p.add_argument("--k-max", type=int, default=64)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--output", type=Path, default=None,
+                       help="write the report here instead of stdout (UTF-8)")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp for byte-identical reruns")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed if args.seed is not None else _env_seed()
-    fields = {"command": args.command, "seed": seed, "abs_tol": args.abs_tol,
-              "rel_tol": args.rel_tol, "output_format": args.output_format,
-              "output_path": args.output_path, "timestamp": not args.no_timestamp}
-    for name in ("n", "ns", "rule", "trials", "k_max"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    return RunConfig(**fields)
 
 
 def main(argv=None) -> None:
     args = _build_parser().parse_args(argv)
     try:
-        code = run(_config_from_args(args))
+        code = run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2

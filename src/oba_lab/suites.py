@@ -216,7 +216,7 @@ def _rigidity_family(seed: int, prop: int, trials):
     return dim, nil, np.eye(dim) + nil
 
 
-def _trace_bound(seed, trials):
+def _trace_bound(seed, trials, tol):
     dim, nil, a = _rigidity_family(seed, 0, trials)
     # Python's power and the per-matrix Frobenius norm round differently from
     # their vectorized forms, so this arithmetic stays per trial.
@@ -226,13 +226,31 @@ def _trace_bound(seed, trials):
     ])
 
 
-def _dichotomy(seed, trials):
+def _dichotomy(seed, trials, tol):
     _, _, a = _rigidity_family(seed, 1, trials)
     norm_excess, deviation = rigidity_gaps(a)
     return np.where(deviation > 0, norm_excess, math.inf)
 
 
-def _unitary_invariance(seed, trials):
+def _identity_gap(seed, trials, tol):
+    """The identity of each trial's dimension: exactly no excess and no deviation."""
+    dim = _RIGIDITY_DIMS[trials[0] % len(_RIGIDITY_DIMS)]
+    verdict = rigidity_gap(MatrixOperator.identity(dim), tol)
+    ok = verdict.is_identity and verdict.norm_excess == 0.0 and verdict.deviation == 0.0
+    return np.full(len(trials), 0.0 if ok else -math.inf)
+
+
+def _golden_ratio(seed, trials, tol):
+    """I + E_12: norm excess the golden ratio minus 1, deviation 1."""
+    golden = rigidity_gap(MatrixOperator(np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]])), tol)
+    slack = min(
+        1e-9 - abs(golden.norm_excess - ((1 + math.sqrt(5)) / 2 - 1)),
+        1e-9 - abs(golden.deviation - 1.0),
+    )
+    return np.full(len(trials), slack)
+
+
+def _unitary_invariance(seed, trials, tol):
     dim, _, a = _rigidity_family(seed, 3, trials)
     u = random_unitary_stack([_trial_seed(seed, 4, t) for t in trials], dim)
     base = rigidity_gaps(a)
@@ -247,29 +265,17 @@ def run_rigidity_suite(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     period = len(_RIGIDITY_DIMS)
-    results = [
-        _tally("trace_bound", trials, period, lambda block: _trace_bound(seed, block)),
+
+    def tally(name, count, slack, failed=np.less):
+        return _tally(name, count, period, lambda block: slack(seed, block, tol), failed)
+
+    results = (
+        tally("trace_bound", trials, _trace_bound),
         # a nonzero nilpotent part must push the norm strictly above 1
-        _tally("dichotomy", trials, period, lambda block: _dichotomy(seed, block), np.less_equal),
-    ]
-
-    failures, worst = 0, math.inf
-    for dim in _RIGIDITY_DIMS:
-        verdict = rigidity_gap(MatrixOperator.identity(dim), tol)
-        ok = verdict.is_identity and verdict.norm_excess == 0.0 and verdict.deviation == 0.0
-        failures += not ok
-        worst = min(worst, 0.0 if ok else -math.inf)
-    results.append(PropertyResult("identity_gap", len(_RIGIDITY_DIMS), failures, worst))
-
-    golden = rigidity_gap(MatrixOperator(np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]])), tol)
-    slack = min(
-        1e-9 - abs(golden.norm_excess - ((1 + math.sqrt(5)) / 2 - 1)),
-        1e-9 - abs(golden.deviation - 1.0),
+        tally("dichotomy", trials, _dichotomy, np.less_equal),
+        # one trial per dimension, each its own block
+        tally("identity_gap", period, _identity_gap),
+        tally("golden_ratio", 1, _golden_ratio),
+        tally("unitary_invariance", max(1, trials // 10), _unitary_invariance),
     )
-    results.append(PropertyResult("golden_ratio", 1, int(slack < 0), float(slack)))
-
-    count = max(1, trials // 10)
-    results.append(
-        _tally("unitary_invariance", count, period, lambda block: _unitary_invariance(seed, block))
-    )
-    return SuiteReport("rigidity", seed, trials, tol.abs_tol, tol.rel_tol, tuple(results))
+    return SuiteReport("rigidity", seed, trials, tol.abs_tol, tol.rel_tol, results)

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: schemas, exit codes, and determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -20,6 +21,16 @@ WITNESS_KEYS = [
 ]
 
 CONVERGE_HEADER = "n,h,norm_T,cluster_radius,deviation,norm_excess"
+
+OUTPUT_FLAGS = {"--format", "--output", "--no-timestamp"}
+SUITE_FLAGS = {"--trials", "--seed", "--abs-tol", "--rel-tol"}
+COMMAND_FLAGS = {
+    "witness": {"--n", "--rule", "--abs-tol"},
+    "converge": {"--ns", "--rule"},
+    "axioms": SUITE_FLAGS,
+    "rigidity": SUITE_FLAGS,
+    "growth": {"--n", "--k-max"},
+}
 
 
 def run_cli(argv, capsys):
@@ -113,6 +124,35 @@ def test_unknown_rule_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rule", ["Left", "left-endpoint", "leftendpoint", " left"])
+def test_rule_takes_only_the_quadrature_rule_values(rule, capsys):
+    code, _, err = run_cli(["witness", "--rule", rule], capsys)
+    assert code == 2
+    choices = err.split("choose from", 1)[1]
+    assert "trapezoid" in choices and "left" in choices
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_the_command_reads(command, capsys):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+    assert flags == COMMAND_FLAGS[command] | OUTPUT_FLAGS | {"--help"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag)
+     for command in ("witness", "converge", "growth")
+     for flag in sorted({"--seed", "--abs-tol", "--rel-tol"} - COMMAND_FLAGS[command])],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(command, flag, capsys):
+    code, out, err = run_cli([command, flag, "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = run_cli(["bogus"], capsys)
     assert code == 2
@@ -183,3 +223,20 @@ def test_garbage_env_seed_is_usage_error(monkeypatch, capsys):
     code, _, err = run_cli(["axioms", "--trials", "10"], capsys)
     assert code == 2
     assert "OBA_LAB_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["witness", "--n", "8"], 0),
+        (["converge", "--ns", "16"], 0),
+        (["growth", "--n", "64", "--k-max", "16"], 0),
+        (["axioms", "--trials", "10"], 2),
+        (["rigidity", "--trials", "10"], 2),
+    ],
+)
+def test_only_the_suites_read_env_seed(argv, expected, monkeypatch, capsys):
+    monkeypatch.setenv("OBA_LAB_SEED", "not-a-number")
+    code, _, err = run_cli([*argv, "--no-timestamp"], capsys)
+    assert code == expected
+    assert ("OBA_LAB_SEED" in err) == (expected == 2)

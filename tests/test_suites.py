@@ -246,6 +246,22 @@ def test_rigidity_suite_matches_per_trial_oracle_bitwise(seed, trials):
     assert by_name["unitary_invariance"].trials == unitary_count
 
 
+@pytest.mark.parametrize("trials", [1, 200])
+def test_rigidity_fixed_cases_are_tallied_once_each(trials):
+    """identity_gap counts one identity per dimension; golden_ratio one 2x2 Jordan block."""
+    by_name = {r.name: r for r in run_rigidity_suite(trials=trials, seed=0).results}
+    assert by_name["identity_gap"] == suites.PropertyResult(
+        "identity_gap", len(RIGIDITY_DIMS), 0, 0.0
+    )
+    golden = rigidity_gap(MatrixOperator(np.array([[1.0, 1.0], [0.0, 1.0]])))
+    slack = min(
+        1e-9 - abs(golden.norm_excess - ((1 + math.sqrt(5)) / 2 - 1)),
+        1e-9 - abs(golden.deviation - 1.0),
+    )
+    assert slack > 0
+    assert by_name["golden_ratio"] == suites.PropertyResult("golden_ratio", 1, 0, slack)
+
+
 def test_one_trial_blocks_replay_the_suites(monkeypatch):
     """Any trial evaluated alone, as a block of one, gives the same reports."""
     blocked = run_axiom_suite(trials=60, seed=5), run_rigidity_suite(trials=200, seed=5)
