@@ -28,16 +28,11 @@ from .rigidity import (
     rigidity_gap,
 )
 from .spectral import (
-    SpectrumReport,
     cluster_radius,
     eigenvalues,
-    gelfand_radius,
     lower_toeplitz_norm,
-    multiset_distance,
     operator_norm,
-    product_spectrum,
     spectral_norm,
-    spectrum_report,
 )
 from .suites import PropertyResult, SuiteReport, run_axiom_suite, run_rigidity_suite
 from .volterra import (
@@ -47,9 +42,6 @@ from .volterra import (
     build_witness,
     convergence_study,
     growth_diagnostic,
-    resolvent_at_identity,
-    resolvent_residual,
-    volterra_matrix,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +56,6 @@ __all__ = [
     "PropertyResult",
     "QuadratureRule",
     "RigidityVerdict",
-    "SpectrumReport",
     "SuiteReport",
     "ToleranceConfig",
     "WitnessReport",
@@ -76,26 +67,19 @@ __all__ = [
     "cone_slack",
     "convergence_study",
     "eigenvalues",
-    "gelfand_radius",
     "geq_unit",
     "growth_diagnostic",
     "lower_toeplitz_norm",
-    "multiset_distance",
     "operator_norm",
     "prod_involution",
     "prod_mul",
     "prod_norm",
-    "product_spectrum",
     "random_cone_element",
     "random_strict_nilpotent",
     "random_unitary",
-    "resolvent_at_identity",
-    "resolvent_residual",
     "rigidity_gap",
     "run_axiom_suite",
     "run_rigidity_suite",
     "spectral_norm",
-    "spectrum_report",
     "unit_element",
-    "volterra_matrix",
 ]

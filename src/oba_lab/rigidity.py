@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ComputationError, PreconditionError
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
-from .spectral import cluster_radius, eigenvalues, spectral_norm, spectral_norms
+from .spectral import cluster_radius, eigenvalues, spectral_norms
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,8 @@ def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
     both hypotheses hold but the matrix still differs from I beyond abs_tol
     (possible only in a narrow float boundary band, since no quantitative
     stability law is claimed), raises ComputationError rather than passing.
+    The norm clause reads the norm excess of the returned verdict, so ||A||
+    is computed once.
     """
     radius = cluster_radius(eigenvalues(a), 1.0)
     if radius > tol.abs_tol:
@@ -112,13 +114,12 @@ def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
             f"spectrum clause failed: eigenvalue cluster radius about 1 is "
             f"{radius:.6e}, above abs_tol {tol.abs_tol:.1e}"
         )
-    norm = spectral_norm(a)
-    if norm > 1.0 + tol.abs_tol:
-        raise PreconditionError(
-            f"norm clause failed: spectral norm {norm:.12f} exceeds 1 + abs_tol "
-            f"{tol.abs_tol:.1e}"
-        )
     verdict = rigidity_gap(a, tol)
+    if verdict.norm_excess > tol.abs_tol:
+        raise PreconditionError(
+            f"norm clause failed: spectral norm {1.0 + verdict.norm_excess:.12f} exceeds "
+            f"1 + abs_tol {tol.abs_tol:.1e}"
+        )
     if not verdict.is_identity:
         raise ComputationError(
             f"rigidity dichotomy violated at tolerance {tol.abs_tol:.1e}: "

@@ -1,9 +1,8 @@
-"""Spectral computations: operator norms (of dense matrices, or matrix-free from a
-matvec), eigenvalue sets, and spectrum utilities."""
+"""Spectral computations: operator norms (of dense matrices, of stacks, of
+lower-triangular Toeplitz matrices, or matrix-free from a matvec), eigenvalues
+and their spread about a center."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, toeplitz
@@ -183,74 +182,9 @@ def eigenvalues(a) -> np.ndarray:
         ) from exc
 
 
-def product_spectrum(x) -> np.ndarray:
-    """Spectrum of a product-algebra element: matrix eigenvalues with the scalar adjoined."""
-    return np.append(eigenvalues(x.op), np.complex128(x.scalar))
-
-
 def cluster_radius(eigs, center: complex) -> float:
     """Largest distance of any eigenvalue from the given center."""
     arr = np.asarray(eigs, dtype=np.complex128).ravel()
     if arr.size == 0:
         raise ValueError("cluster_radius needs a nonempty eigenvalue multiset")
     return float(np.abs(arr - center).max())
-
-
-def gelfand_radius(a, k_max: int) -> np.ndarray:
-    """Norm-root sequence ||a^k||^(1/k) for k = 1..k_max.
-
-    Powers are renormalized every step and tracked in log scale, so large
-    norms neither overflow nor underflow.  Once a power vanishes exactly
-    (nilpotent input) all later entries are 0.
-    """
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
-    m = _as_array(a)
-    out = np.zeros(k_max)
-    power = m
-    log_scale = 0.0
-    for k in range(1, k_max + 1):
-        s = spectral_norm(power)
-        if s == 0.0:
-            break
-        out[k - 1] = float(np.exp((np.log(s) + log_scale) / k))
-        if k < k_max:
-            log_scale += np.log(s)
-            power = (power / s) @ m
-    return out
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalue multiset together with its spread about a chosen center."""
-
-    eigenvalues: np.ndarray
-    center: complex
-    cluster_radius: float
-
-
-def spectrum_report(a, center: complex = 1.0) -> SpectrumReport:
-    eigs = np.sort_complex(eigenvalues(a))
-    eigs.setflags(write=False)
-    return SpectrumReport(eigs, complex(center), cluster_radius(eigs, center))
-
-
-def multiset_distance(left, right) -> float:
-    """Greedy nearest-neighbour pairing distance between two eigenvalue multisets.
-
-    Returns the largest matched distance; eigenvalue ordering is not
-    canonical, so callers compare this against their tolerance.
-    """
-    a = np.asarray(left, dtype=np.complex128).ravel()
-    b = np.asarray(right, dtype=np.complex128).ravel().copy()
-    if a.size != b.size:
-        raise ValueError(f"multiset sizes differ: {a.size} vs {b.size}")
-    used = np.zeros(b.size, dtype=bool)
-    worst = 0.0
-    for lam in sorted(a, key=lambda z: (-abs(z), z.real, z.imag)):
-        dist = np.abs(b - lam)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        used[j] = True
-        worst = max(worst, float(dist[j]))
-    return worst

@@ -1,5 +1,4 @@
-"""Discretized Volterra integration operator, its resolvent at the identity, and
-the witness/convergence harness built on them.
+"""The Volterra resolvent witness, its convergence study and growth diagnostic.
 
 On the uniform grid x_i = i/n the running integral becomes a lower triangular
 matrix V_n.  The two quadrature rules split the continuous operator's key
@@ -8,6 +7,11 @@ spectrum is exactly {0}), while the trapezoid rule keeps accretivity
 (V_n + V_n^T is positive semidefinite), which is what pins the resolvent norm
 at 1.  No finite matrix can keep both at once, so each rule tells half of the
 infinite-dimensional story.
+
+Neither V_n nor T_n = (I + V_n)^(-1) is ever formed.  Under both rules T_n is
+lower-triangular Toeplitz with a closed-form first column, so every fact here
+comes from O(n) products with T_n, T_n - I or, for `growth`, the closed-form
+column of (T_n - I)^k.
 """
 
 from __future__ import annotations
@@ -17,12 +21,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .algebra import membership_slack
-from .errors import ComputationError
-from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
-from .spectral import lower_toeplitz_norm, operator_norm, spectral_norm
+from .operators import DEFAULT_TOLERANCE, ToleranceConfig
+from .spectral import lower_toeplitz_norm, operator_norm
 
 MAX_GRID = 4096
 
@@ -35,49 +37,6 @@ class QuadratureRule(enum.Enum):
 def _check_grid(n: int) -> None:
     if not 1 <= n <= MAX_GRID:
         raise ValueError(f"grid size must be in [1, {MAX_GRID}], got {n}")
-
-
-def volterra_matrix(n: int, rule: QuadratureRule) -> MatrixOperator:
-    """Lower triangular discretization of the running integral on n grid points.
-
-    Left endpoint: h on the strict lower triangle.  Trapezoid: additionally
-    h/2 on the diagonal.
-    """
-    _check_grid(n)
-    h = 1.0 / n
-    m = np.zeros((n, n))
-    m[np.tril_indices(n, -1)] = h
-    if rule is QuadratureRule.TRAPEZOID:
-        np.fill_diagonal(m, h / 2)
-    return MatrixOperator(m)
-
-
-def resolvent_at_identity(v: MatrixOperator) -> MatrixOperator:
-    """T = (I + V)^(-1), by forward substitution when V is lower triangular.
-
-    Non-triangular inputs fall back to a general dense solve.  The residual
-    ||(I + V) T - I|| stays below 1e-10 for the grids handled here.
-    """
-    arr = v.entries if isinstance(v, MatrixOperator) else np.asarray(v)
-    n = arr.shape[0]
-    m = np.eye(n) + arr
-    if not np.any(np.triu(m, 1)):
-        diag = np.diag(m)
-        if np.any(diag == 0):
-            raise ComputationError("I + V is singular: zero on the triangular diagonal")
-        t = solve_triangular(m, np.eye(n), lower=True)
-    else:
-        try:
-            t = np.linalg.solve(m, np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise ComputationError(f"I + V is singular: {exc}") from exc
-    return MatrixOperator(t)
-
-
-def resolvent_residual(v: MatrixOperator, t: MatrixOperator) -> float:
-    """||(I + V) T - I||, the defect of T as the inverse of I + V."""
-    n = v.dim
-    return spectral_norm((np.eye(n) + v.entries) @ t.entries - np.eye(n))
 
 
 def _resolvent_symbol(n: int, rule: QuadratureRule) -> tuple[float, float]:

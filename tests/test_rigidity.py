@@ -17,12 +17,11 @@ from oba_lab import (
     eigenvalues,
     random_strict_nilpotent,
     random_unitary,
-    resolvent_at_identity,
     rigidity_gap,
     spectral_norm,
-    volterra_matrix,
 )
 from oba_lab.rigidity import random_strict_nilpotent_stack, random_unitary_stack, rigidity_gaps
+from oracle import resolvent_at_identity, volterra_matrix
 
 TOL = ToleranceConfig()
 GOLDEN_EXCESS = (1 + math.sqrt(5)) / 2 - 1
@@ -147,8 +146,22 @@ class TestCheckRigidity:
 
     def test_nilpotent_perturbation_fails_norm_clause(self):
         a = MatrixOperator(np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(PreconditionError, match="norm clause"):
+        clause = r"norm clause failed: spectral norm 1\.618033988750 exceeds"
+        with pytest.raises(PreconditionError, match=clause):
             check_rigidity(a, TOL)
+
+    def test_each_norm_is_computed_once(self, monkeypatch):
+        # ||A|| and ||A - I||, one SVD each: the norm clause reads the verdict
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        check_rigidity(MatrixOperator.identity(8), TOL)
+        assert len(calls) == 2
 
     def test_left_endpoint_resolvent_fails_norm_clause(self):
         # spectrum is exactly {1}, yet no finite grid admits the norm hypothesis
