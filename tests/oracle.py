@@ -47,6 +47,8 @@ def gelfand_radius(a, k_max: int) -> np.ndarray:
     norms neither overflow nor underflow.  Once a power vanishes exactly
     (nilpotent input) all later entries are 0.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     m = np.asarray(a)
     out = np.zeros(k_max)
     power = m

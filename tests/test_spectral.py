@@ -206,6 +206,10 @@ class TestGelfandRadius:
     def test_scalar_matrix(self):
         assert np.allclose(gelfand_radius(np.array([[2.0]]), 3), 2.0)
 
+    def test_rejects_nonpositive_k(self):
+        with pytest.raises(ValueError):
+            gelfand_radius(np.eye(2), 0)
+
     @settings(max_examples=10)
     @given(seeds)
     def test_converges_to_spectral_radius(self, seed):

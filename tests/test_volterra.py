@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oba_lab import (
+    MatrixOperator,
     ProductElement,
     QuadratureRule,
     ToleranceConfig,
@@ -98,6 +99,11 @@ class TestResolvent:
                 v = volterra_matrix(n, rule)
                 t = resolvent_at_identity(v)
                 assert resolvent_residual(v, t) <= 1e-10
+
+    def test_singular_input_raises(self):
+        # I + V has a zero on its diagonal, so forward substitution must refuse it
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            resolvent_at_identity(MatrixOperator(np.array([[-1.0, 0.0], [1.0, 2.0]])))
 
     def test_result_is_structurally_triangular(self):
         t = resolvent_at_identity(volterra_matrix(64, QuadratureRule.TRAPEZOID))
