@@ -100,6 +100,8 @@ def rigidity_gaps(stack) -> tuple[np.ndarray, np.ndarray]:
 def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> RigidityVerdict:
     """Enforce the rigidity hypotheses, then require the element to be the identity.
 
+    Raises ValueError, naming the clause, unless `a` is a nonempty square
+    matrix of finite entries (checked by `eigenvalues` before anything else).
     Raises PreconditionError naming the failed clause when the spectrum is not
     concentrated at 1 (within abs_tol) or the norm exceeds 1 + abs_tol.  When
     both hypotheses hold but the matrix still differs from I beyond abs_tol

@@ -19,12 +19,15 @@ def volterra_matrix(n: int, rule: QuadratureRule) -> MatrixOperator:
     Left endpoint: h on the strict lower triangle.  Trapezoid: additionally
     h/2 on the diagonal.
     """
-    h = 1.0 / n
     m = np.zeros((n, n))
-    m[np.tril_indices(n, -1)] = h
-    if rule is QuadratureRule.TRAPEZOID:
-        np.fill_diagonal(m, h / 2)
+    m[np.tril_indices(n, -1)] = 1.0 / n
+    np.fill_diagonal(m, volterra_diagonal(n, rule))
     return MatrixOperator(m)
+
+
+def volterra_diagonal(n: int, rule: QuadratureRule) -> np.ndarray:
+    """The diagonal of `volterra_matrix(n, rule)` without forming it: 0 or h/2."""
+    return np.full(n, 0.5 / n if rule is QuadratureRule.TRAPEZOID else 0.0)
 
 
 def resolvent_at_identity(v: MatrixOperator) -> MatrixOperator:

@@ -174,6 +174,19 @@ class TestCheckRigidity:
         with pytest.raises(PreconditionError, match="spectrum clause"):
             check_rigidity(MatrixOperator(np.diag([0.5, 1.0])), TOL)
 
+    @pytest.mark.parametrize(
+        "bad, clause",
+        [
+            (np.eye(2, 3), r"square matrix, got shape \(2, 3\)"),
+            (np.ones(3), r"square matrix, got shape \(3,\)"),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), "finite"),
+        ],
+        ids=["non-square", "1-d", "nan"],
+    )
+    def test_rejects_malformed_input(self, bad, clause):
+        with pytest.raises(ValueError, match=clause):
+            check_rigidity(bad, TOL)
+
     def test_boundary_band_raises_computation_error(self):
         # passes both hypotheses at a loose tolerance yet is not the identity
         # there: norm excess ~ eps/2 stays inside abs_tol while the deviation

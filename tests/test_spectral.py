@@ -73,26 +73,31 @@ class TestSpectralNorm:
         rho = np.abs(eigenvalues(h)).max()
         assert spectral_norm(h) == pytest.approx(rho, abs=1e-9)
 
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_dense_norm_is_the_svd_above_512(self, complex_input):
+        rng = np.random.default_rng(513)
+        a = rng.standard_normal((513, 513))
+        if complex_input:
+            a = a + 1j * rng.standard_normal((513, 513))
+        assert spectral_norm(a) == np.linalg.svd(a, compute_uv=False)[0]
+        assert spectral_norm(MatrixOperator(a)) == np.linalg.svd(a, compute_uv=False)[0]
+
     def test_lanczos_path_matches_dense_svd_real(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((600, 600))
-        assert spectral_norm(a) == pytest.approx(
-            np.linalg.svd(a, compute_uv=False)[0], rel=1e-11
-        )
-
-    def test_lanczos_path_matches_dense_svd_complex(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600))
-        assert spectral_norm(a) == pytest.approx(
+        assert operator_norm(600, lambda x: a @ x, lambda x: a.T @ x) == pytest.approx(
             np.linalg.svd(a, compute_uv=False)[0], rel=1e-11
         )
 
     def test_lanczos_path_zero_matrix(self):
-        assert spectral_norm(np.zeros((600, 600))) == 0.0
+        a = np.zeros((600, 600))
+        assert operator_norm(600, lambda x: a @ x, lambda x: a.T @ x) == 0.0
 
     def test_operator_norm_runs_the_dense_lanczos_loop(self):
         a = np.random.default_rng(5).standard_normal((600, 600))
-        assert operator_norm(600, lambda x: a @ x, lambda x: a.T @ x) == spectral_norm(a)
+        first = operator_norm(600, lambda x: a @ x, lambda x: a.T @ x)
+        # the start vector is seeded, so equal products give a bitwise-equal Ritz value
+        assert operator_norm(600, lambda x: a @ x, lambda x: a.T @ x) == first
         # up to dim 512 the columns a @ e_j are exact, so the SVD sees a itself
         a = a[:64, :64].copy()
         assert operator_norm(64, lambda x: a @ x, lambda x: a.T @ x) == spectral_norm(a)
@@ -153,6 +158,19 @@ class TestEigenvalues:
     def test_dense_path_matches_characteristic_roots(self):
         m = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation: eigenvalues +-i
         assert multiset_distance(eigenvalues(m), [1j, -1j]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "bad, clause",
+        [
+            (np.eye(2, 3), r"square matrix, got shape \(2, 3\)"),
+            (np.ones(3), r"square matrix, got shape \(3,\)"),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), "finite"),
+        ],
+        ids=["non-square", "1-d", "nan"],
+    )
+    def test_rejects_malformed_input(self, bad, clause):
+        with pytest.raises(ValueError, match=clause):
+            eigenvalues(bad)
 
 
 class TestProductSpectrum:
