@@ -185,12 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ("rigidity", run_rigidity_suite, "seeded finite-dimensional rigidity trials"),
     ):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=functools.partial(_run_suite, run_suite))
+        p.set_defaults(handler=functools.partial(_run_suite, run_suite),
+                       abs_tol=DEFAULT_TOLERANCE.abs_tol, rel_tol=DEFAULT_TOLERANCE.rel_tol)
         p.add_argument("--trials", type=int, default=10_000)
         p.add_argument("--seed", type=int, default=None,
                        help="trial seed (default: $OBA_LAB_SEED or 42)")
-        p.add_argument("--abs-tol", **abs_tol)
-        p.add_argument("--rel-tol", type=float, default=DEFAULT_TOLERANCE.rel_tol)
+    # no rigidity property reads a tolerance, so only axioms takes them as flags
+    sub.choices["axioms"].add_argument("--abs-tol", type=float)
+    sub.choices["axioms"].add_argument("--rel-tol", type=float)
 
     # growth has no --rule flag: the left-endpoint grid is the only one whose
     # resolvent deviation is nilpotent, so overrides are rejected as usage errors

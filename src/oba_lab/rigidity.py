@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, PreconditionError
-from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
+from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig, _validated_square
 from .spectral import cluster_radius, eigenvalues, spectral_norms
 
 
@@ -81,8 +81,11 @@ def random_unitary_stack(seeds, dim: int) -> np.ndarray:
 
 
 def rigidity_gap(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> RigidityVerdict:
-    """Norm excess and deviation from the identity, with no spectrum assumption."""
-    arr = a.entries if isinstance(a, MatrixOperator) else np.asarray(a)
+    """Norm excess and deviation from the identity, with no spectrum assumption.
+
+    Raises ValueError naming the clause unless `a` is a nonempty finite square matrix.
+    """
+    arr = _validated_square(a)
     norm_excess, deviation = (float(gap[0]) for gap in rigidity_gaps(arr[np.newaxis]))
     return RigidityVerdict(
         norm_excess=norm_excess,

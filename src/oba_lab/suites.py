@@ -1,16 +1,17 @@
 """Seeded bulk-trial suites over the cone axioms, norm identities, and rigidity families.
 
-Every trial derives its own seed from (suite seed, property index, trial
-index), so reports are reproducible run to run and individual failures can be
-replayed in isolation: a trial run alone, as a block of one, gives the same
-slack.  Draws are made per trial; the trials of a property that share a
-dimension are then evaluated in blocks, each norm taken over the whole block
-by one stacked SVD.
+Each suite is a table of properties, and one engine runs both tables.  Every
+trial derives its own seed from (suite seed, property index, trial index), so
+reports are reproducible run to run and individual failures can be replayed in
+isolation: a trial run alone, as a block of one, gives the same slack.  Draws
+are made per trial; the trials of a property that share a dimension are then
+evaluated in blocks, each norm taken over the whole block by one stacked SVD.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,11 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
 
+# A suite table row: the block slack (seed, prop, trials, tol) -> one slack per
+# trial, the trial count of a run of `trials`, and the failure test of a slack.
+_Property = namedtuple("_Property", "name slack count failed", defaults=(lambda n: n, np.less))
+
+
 def _trial_seed(seed: int, prop: int, trial: int) -> int:
     return (seed * 1_000_003 + prop * 65_537 + trial) % (2**63)
 
@@ -73,28 +79,6 @@ def _trial_dim(trial: int) -> int:
 
 def _trial_scales(trials) -> np.ndarray:
     return np.array([_SCALES[t % len(_SCALES)] for t in trials])
-
-
-def _blocks(count: int, period: int):
-    """Trial indices below `count` grouped by `trial % period`, in blocks of at most _BLOCK.
-
-    Suite dimensions cycle with the trial index, so every block shares one
-    dimension and its matrices can be normed as one stack.
-    """
-    for residue in range(min(count, period)):
-        group = range(residue, count, period)
-        for start in range(0, len(group), _BLOCK):
-            yield group[start : start + _BLOCK]
-
-
-def _tally(name: str, count: int, period: int, block_slack, failed=np.less) -> PropertyResult:
-    """Failures (`failed(slack, 0)`) and worst slack of a property, one block at a time."""
-    failures, worst = 0, math.inf
-    for trials in _blocks(count, period):
-        slack = block_slack(trials)
-        failures += int(np.count_nonzero(failed(slack, 0)))
-        worst = min(worst, float(slack.min()))
-    return PropertyResult(name, count, failures, worst)
 
 
 def _cone_stack(seed, prop, trials, stride=1, offset=0):
@@ -182,30 +166,16 @@ def _unit_membership(seed, prop, trials, tol):
 
 
 _AXIOM_CHECKS = (
-    ("additivity", _additivity),
-    ("positive_scaling", _positive_scaling),
-    ("multiplicativity", _multiplicativity),
-    ("properness", _properness),
-    ("normality", _normality),
-    ("ice_cream_equivalence", _ice_cream_equivalence),
-    ("cstar_identity", _cstar_identity),
-    ("unit_membership", _unit_membership),
+    _Property("additivity", _additivity),
+    _Property("positive_scaling", _positive_scaling),
+    _Property("multiplicativity", _multiplicativity),
+    _Property("properness", _properness),
+    _Property("normality", _normality),
+    _Property("ice_cream_equivalence", _ice_cream_equivalence),
+    _Property("cstar_identity", _cstar_identity),
+    # the unit's slack depends on the dimension alone: one trial per dimension
+    _Property("unit_membership", _unit_membership, lambda trials: min(trials, len(_DIMS))),
 )
-
-
-def run_axiom_suite(
-    trials: int = 10_000, seed: int = 42, tol: ToleranceConfig = DEFAULT_TOLERANCE
-) -> SuiteReport:
-    """Run every cone-axiom property for `trials` seeded trials each."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    results = []
-    for prop, (name, slack) in enumerate(_AXIOM_CHECKS):
-        count = min(trials, len(_DIMS)) if name == "unit_membership" else trials
-        results.append(
-            _tally(name, count, len(_DIMS), lambda block: slack(seed, prop, block, tol))
-        )
-    return SuiteReport("axioms", seed, trials, tol.abs_tol, tol.rel_tol, tuple(results))
 
 
 def _rigidity_family(seed: int, prop: int, trials):
@@ -216,8 +186,8 @@ def _rigidity_family(seed: int, prop: int, trials):
     return dim, nil, np.eye(dim) + nil
 
 
-def _trace_bound(seed, trials, tol):
-    dim, nil, a = _rigidity_family(seed, 0, trials)
+def _trace_bound(seed, prop, trials, tol):
+    dim, nil, a = _rigidity_family(seed, prop, trials)
     # Python's power and the per-matrix Frobenius norm round differently from
     # their vectorized forms, so this arithmetic stays per trial.
     return np.array([
@@ -226,13 +196,13 @@ def _trace_bound(seed, trials, tol):
     ])
 
 
-def _dichotomy(seed, trials, tol):
-    _, _, a = _rigidity_family(seed, 1, trials)
+def _dichotomy(seed, prop, trials, tol):
+    _, _, a = _rigidity_family(seed, prop, trials)
     norm_excess, deviation = rigidity_gaps(a)
     return np.where(deviation > 0, norm_excess, math.inf)
 
 
-def _identity_gap(seed, trials, tol):
+def _identity_gap(seed, prop, trials, tol):
     """The identity of each trial's dimension: exactly no excess and no deviation."""
     dim = _RIGIDITY_DIMS[trials[0] % len(_RIGIDITY_DIMS)]
     verdict = rigidity_gap(MatrixOperator.identity(dim), tol)
@@ -240,7 +210,7 @@ def _identity_gap(seed, trials, tol):
     return np.full(len(trials), 0.0 if ok else -math.inf)
 
 
-def _golden_ratio(seed, trials, tol):
+def _golden_ratio(seed, prop, trials, tol):
     """I + E_12: norm excess the golden ratio minus 1, deviation 1."""
     golden = rigidity_gap(MatrixOperator(np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]])), tol)
     slack = min(
@@ -250,7 +220,8 @@ def _golden_ratio(seed, trials, tol):
     return np.full(len(trials), slack)
 
 
-def _unitary_invariance(seed, trials, tol):
+def _unitary_invariance(seed, prop, trials, tol):
+    # seed streams 3 (the family; row 3, golden_ratio, draws none) and 4 (the unitaries)
     dim, _, a = _rigidity_family(seed, 3, trials)
     u = random_unitary_stack([_trial_seed(seed, 4, t) for t in trials], dim)
     base = rigidity_gaps(a)
@@ -258,24 +229,47 @@ def _unitary_invariance(seed, trials, tol):
     return np.minimum(1e-9 - np.abs(base[0] - rotated[0]), 1e-9 - np.abs(base[1] - rotated[1]))
 
 
+_RIGIDITY_CHECKS = (
+    _Property("trace_bound", _trace_bound),
+    # a nonzero nilpotent part must push the norm strictly above 1
+    _Property("dichotomy", _dichotomy, failed=np.less_equal),
+    # one trial per dimension, each its own block
+    _Property("identity_gap", _identity_gap, lambda trials: len(_RIGIDITY_DIMS)),
+    _Property("golden_ratio", _golden_ratio, lambda trials: 1),
+    _Property("unitary_invariance", _unitary_invariance, lambda trials: max(1, trials // 10)),
+)
+
+
+def _run_suite(suite: str, checks, period: int, trials: int, seed: int, tol) -> SuiteReport:
+    """Every property of `checks`, its trials grouped by `trial % period` in blocks of _BLOCK.
+
+    Suite dimensions cycle with the trial index, so every block shares one
+    dimension and its matrices can be normed as one stack.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    results = []
+    for prop, (name, block_slack, trial_count, failed) in enumerate(checks):
+        count, failures, worst = trial_count(trials), 0, math.inf
+        for residue in range(min(count, period)):
+            group = range(residue, count, period)
+            for start in range(0, len(group), _BLOCK):
+                slack = block_slack(seed, prop, group[start : start + _BLOCK], tol)
+                failures += int(np.count_nonzero(failed(slack, 0)))
+                worst = min(worst, float(slack.min()))
+        results.append(PropertyResult(name, count, failures, worst))
+    return SuiteReport(suite, seed, trials, tol.abs_tol, tol.rel_tol, tuple(results))
+
+
+def run_axiom_suite(
+    trials: int = 10_000, seed: int = 42, tol: ToleranceConfig = DEFAULT_TOLERANCE
+) -> SuiteReport:
+    """Run every cone-axiom property for `trials` seeded trials each."""
+    return _run_suite("axioms", _AXIOM_CHECKS, len(_DIMS), trials, seed, tol)
+
+
 def run_rigidity_suite(
     trials: int = 10_000, seed: int = 42, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> SuiteReport:
     """Trace-bound, dichotomy, identity, golden-ratio, and unitary-invariance trials."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    period = len(_RIGIDITY_DIMS)
-
-    def tally(name, count, slack, failed=np.less):
-        return _tally(name, count, period, lambda block: slack(seed, block, tol), failed)
-
-    results = (
-        tally("trace_bound", trials, _trace_bound),
-        # a nonzero nilpotent part must push the norm strictly above 1
-        tally("dichotomy", trials, _dichotomy, np.less_equal),
-        # one trial per dimension, each its own block
-        tally("identity_gap", period, _identity_gap),
-        tally("golden_ratio", 1, _golden_ratio),
-        tally("unitary_invariance", max(1, trials // 10), _unitary_invariance),
-    )
-    return SuiteReport("rigidity", seed, trials, tol.abs_tol, tol.rel_tol, results)
+    return _run_suite("rigidity", _RIGIDITY_CHECKS, len(_RIGIDITY_DIMS), trials, seed, tol)

@@ -23,12 +23,11 @@ WITNESS_KEYS = [
 CONVERGE_HEADER = "n,h,norm_T,cluster_radius,deviation,norm_excess"
 
 OUTPUT_FLAGS = {"--format", "--output", "--no-timestamp"}
-SUITE_FLAGS = {"--trials", "--seed", "--abs-tol", "--rel-tol"}
 COMMAND_FLAGS = {
     "witness": {"--n", "--rule", "--abs-tol"},
     "converge": {"--ns", "--rule"},
-    "axioms": SUITE_FLAGS,
-    "rigidity": SUITE_FLAGS,
+    "axioms": {"--trials", "--seed", "--abs-tol", "--rel-tol"},
+    "rigidity": {"--trials", "--seed"},
     "growth": {"--n", "--k-max"},
 }
 
@@ -143,11 +142,11 @@ def test_help_lists_exactly_the_flags_the_command_reads(command, capsys):
 @pytest.mark.parametrize(
     "command, flag",
     [(command, flag)
-     for command in ("witness", "converge", "growth")
+     for command in ("witness", "converge", "rigidity", "growth")
      for flag in sorted({"--seed", "--abs-tol", "--rel-tol"} - COMMAND_FLAGS[command])],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(command, flag, capsys):
-    code, out, err = run_cli([command, flag, "1"], capsys)
+    code, out, err = run_cli([command, flag, "1e-6"], capsys)
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {flag}" in err

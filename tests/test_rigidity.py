@@ -129,6 +129,21 @@ class TestRigidityGap:
         assert rotated.norm_excess == pytest.approx(base.norm_excess, abs=1e-9)
         assert rotated.deviation == pytest.approx(base.deviation, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "bad, clause",
+        [
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), "finite"),
+            (np.eye(2, 3), r"square matrix, got shape \(2, 3\)"),
+            (np.ones(3), r"square matrix, got shape \(3,\)"),
+            (np.zeros((0, 0)), "dimension must be at least 1"),
+            (np.full((2, 2), np.nan), "finite"),
+        ],
+        ids=["inf", "non-square", "1-d", "0x0", "nan"],
+    )
+    def test_rejects_malformed_input(self, bad, clause):
+        with pytest.raises(ValueError, match=clause):
+            rigidity_gap(bad, TOL)
+
 
 class TestRandomUnitary:
     @settings(max_examples=25)

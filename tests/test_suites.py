@@ -80,6 +80,16 @@ def test_suites_respect_custom_tolerance():
     tol = ToleranceConfig(abs_tol=1e-6, rel_tol=1e-6)
     assert run_axiom_suite(trials=50, seed=3, tol=tol).all_passed
     assert run_rigidity_suite(trials=50, seed=3, tol=tol).all_passed
+    # the caller's tolerance reaches the properties, not only the report:
+    # a sum of cone members is tight by exactly abs_tol, and the C*-identity
+    # fails on most trials with no relative slack
+    loose = run_axiom_suite(trials=50, seed=3, tol=ToleranceConfig(abs_tol=1e-6))
+    assert (loose.abs_tol, loose.rel_tol) == (1e-6, 1e-9)
+    assert loose.results[0].name == "additivity" and loose.results[0].worst_slack == 1e-6
+    exact = run_axiom_suite(trials=50, seed=3, tol=ToleranceConfig(rel_tol=0.0))
+    assert (exact.abs_tol, exact.rel_tol) == (1e-9, 0.0)
+    failures = {r.name: r.failures for r in exact.results}
+    assert failures == {name: 45 if name == "cstar_identity" else 0 for name in AXIOM_PROPERTIES}
 
 
 def test_nonpositive_trials_rejected():
