@@ -23,7 +23,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = {
     **{
         f"witness-{n}-{rule}.json": (["witness", "--n", str(n), "--rule", rule], 0)
-        for n in (2, 64, 600)
+        for n in (2, 64, 600, 4096)
         for rule in ("left", "trapezoid")
     },
     **{
@@ -42,6 +42,7 @@ CASES = {
     "growth-64-16.json": (["growth", "--n", "64", "--k-max", "16"], 0),
     "growth-64-16.csv": (["growth", "--n", "64", "--k-max", "16", "--format", "csv"], 0),
     "growth-600-8.json": (["growth", "--n", "600", "--k-max", "8"], 0),
+    "growth-1024-256.json": (["growth", "--n", "1024", "--k-max", "256"], 0),
     "witness-1-left.json": (["witness", "--n", "1", "--rule", "left"], 1),
     "growth-8-7.json": (["growth", "--n", "8", "--k-max", "7"], 1),
 }
