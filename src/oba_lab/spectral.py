@@ -16,6 +16,9 @@ _LANCZOS_SEED = 0x5EED
 _LANCZOS_MAX_STEPS = 384
 _LANCZOS_TOL = 1e-12
 _LANCZOS_CHECK_EVERY = 16
+# Reorthogonalize a second time when the first pass leaves less than this
+# fraction of the vector's norm ("twice is enough", Kahan-Parlett).
+_REORTH_GUARD = 2**-0.5
 
 
 def spectral_norm(a) -> float:
@@ -42,9 +45,13 @@ def operator_norm(dim: int, matvec, rmatvec) -> float:
     vector x of length dim.  Up to dimension 512 the matrix is assembled one
     column at a time from `matvec(e_j)` and normed by `spectral_norm`.  Above
     that no matrix is formed: the norm is the top Ritz value of a Lanczos
-    iteration on A^T A with full reorthogonalization and a seeded start, so
-    equal products give bitwise-equal values, a lower bound that approaches
-    the norm from below.  A complex product raises ValueError on either path.
+    iteration on A^T A with a seeded start, so equal products give
+    bitwise-equal values, a lower bound that approaches the norm from below.
+    Each step reorthogonalizes against the whole Krylov basis: one
+    Gram-Schmidt pass, plus a second only when the first cancels most of the
+    new vector.  Both stop tests are relative, so the result scales with A
+    wherever its Gram products neither overflow nor underflow.  A complex
+    product raises ValueError on either path.
     """
     if dim < 1:
         raise ValueError(f"operator dimension must be at least 1, got {dim}")
@@ -93,35 +100,43 @@ def _gram_lanczos(n: int, gram) -> float:
     v = v / np.linalg.norm(v)
 
     steps = min(n, _LANCZOS_MAX_STEPS)
-    basis = np.zeros((n, steps))
+    basis = np.zeros((steps, n))  # one Lanczos vector per row, so each projection reads one block
     alphas = np.zeros(steps)
     betas = np.zeros(steps)
-    count = 0
-    lam_prev = -np.inf
+    lam = -np.inf
+    lam_count = 0  # the step count at which `lam` was last computed
     for j in range(steps):
-        basis[:, j] = v
+        basis[j] = v
         w = gram(v)
         alpha = float(v @ w)
         alphas[j] = alpha
         count = j + 1
         w = w - alpha * v
         if j > 0:
-            w = w - betas[j - 1] * basis[:, j - 1]
-        # full reorthogonalization, twice, to keep the Ritz values trustworthy
-        span = basis[:, :count]
-        w = w - span @ (span.T @ w)
-        w = w - span @ (span.T @ w)
+            w = w - betas[j - 1] * basis[j - 1]
+        # Full reorthogonalization keeps the Ritz values trustworthy: one classical
+        # Gram-Schmidt pass, and a second only if the first cancels most of w.  The
+        # reference norm is taken after the three-term recurrence; taken before it,
+        # the guard would fire on nearly every step.
+        span = basis[:count]
+        recurrence_norm = np.linalg.norm(w)
+        w = w - (span @ w) @ span
         beta = float(np.linalg.norm(w))
+        if beta < _REORTH_GUARD * recurrence_norm:
+            w = w - (span @ w) @ span
+            beta = float(np.linalg.norm(w))
         betas[j] = beta
-        if beta <= 1e-14 * max(1.0, np.abs(alphas[:count]).max()):
+        # both stop tests are relative, so the result scales with the operator
+        if beta <= 1e-14 * np.abs(alphas[:count]).max():
             break  # invariant subspace found; Ritz values are exact for it
         v = w / beta
         if count % _LANCZOS_CHECK_EVERY == 0:
-            lam = _top_ritz(alphas[:count], betas[: count - 1])
-            if lam - lam_prev <= _LANCZOS_TOL * max(lam, 1.0):
+            lam_prev, lam = lam, _top_ritz(alphas[:count], betas[: count - 1])
+            lam_count = count
+            if lam - lam_prev <= _LANCZOS_TOL * lam:
                 break
-            lam_prev = lam
-    lam = _top_ritz(alphas[:count], betas[: count - 1])
+    if lam_count != count:
+        lam = _top_ritz(alphas[:count], betas[: count - 1])
     return float(np.sqrt(max(lam, 0.0)))
 
 

@@ -93,6 +93,30 @@ class TestSpectralNorm:
         a = np.zeros((600, 600))
         assert operator_norm(600, lambda x: a @ x, lambda x: a.T @ x) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e9, 1e12])
+    def test_lanczos_norms_scale_with_the_operator(self, scale):
+        """Both Lanczos stop tests are relative, so a small operator is not cut short.
+
+        Scales beyond about 1e+-150, where the Gram products over- or underflow,
+        are out of scope.
+        """
+        a = np.random.default_rng(5).standard_normal((600, 600)) * scale
+        assert operator_norm(600, lambda x: a @ x, lambda x: a.T @ x) == pytest.approx(
+            np.linalg.svd(a, compute_uv=False)[0], rel=1e-13, abs=0
+        )
+        column = np.random.default_rng(1024).standard_normal(1024) * scale
+        assert lower_toeplitz_norm(column) == pytest.approx(
+            np.linalg.svd(toeplitz(column, np.zeros(1024)), compute_uv=False)[0], rel=1e-13, abs=0
+        )
+
+    def test_lanczos_second_reorthogonalization_pass(self):
+        """Gram eigenvalues 1 and 1e-16 make the first projection cancel most of a
+        Lanczos vector, which is the input that runs the guarded second pass."""
+        d = np.concatenate([np.ones(300), np.full(300, 1e-8)])
+        assert operator_norm(600, lambda x: d * x, lambda x: d * x) == pytest.approx(
+            np.linalg.svd(np.diag(d), compute_uv=False)[0], rel=1e-14, abs=0
+        )
+
     def test_operator_norm_runs_the_dense_lanczos_loop(self):
         a = np.random.default_rng(5).standard_normal((600, 600))
         first = operator_norm(600, lambda x: a @ x, lambda x: a.T @ x)
