@@ -12,6 +12,7 @@ from numbers import Number
 
 import numpy as np
 
+from ._seeding import seeded_generators
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
 from .spectral import spectral_norm, spectral_norms
 
@@ -152,10 +153,11 @@ def random_cone_stack(seeds, dim: int, scales) -> tuple[np.ndarray, np.ndarray, 
     """Seeded random cone members of one dimension, one per seed, as stacked arrays.
 
     Element i is `random_cone_element(seeds[i], dim, scales[i])` bit for bit:
-    it is drawn from its own `default_rng(seeds[i])` in the same order, and
-    only the norms are taken over the whole stack.  `scales` is one scale or
-    one per seed.  Returns the (count, dim, dim) matrix parts, the real scalar
-    parts, and the spectral norm of each matrix part.
+    its draws come in the same order from a generator that starts in the
+    state `default_rng(seeds[i])` starts in, and only the norms are taken over
+    the whole stack.  `scales` is one scale or one per seed.  Returns the
+    (count, dim, dim) matrix parts, the real scalar parts, and the spectral
+    norm of each matrix part.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
@@ -166,8 +168,7 @@ def random_cone_stack(seeds, dim: int, scales) -> tuple[np.ndarray, np.ndarray, 
         raise ValueError(f"scale must be finite and nonnegative, got {scales[bad][0]}")
     real, imag = np.empty((2, count, dim, dim))
     fractions = np.empty((count, 2))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    for i, rng in enumerate(seeded_generators(seeds)):
         rng.standard_normal(out=real[i])
         rng.standard_normal(out=imag[i])
         rng.random(out=fractions[i])  # two uniform draws on [0, 1)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeding import seeded_generators
 from .errors import ComputationError, PreconditionError
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig, _validated_square
 from .spectral import cluster_radius, eigenvalues, spectral_norms
@@ -38,8 +39,9 @@ def random_strict_nilpotent(seed: int, dim: int, scale: float) -> MatrixOperator
 def random_strict_nilpotent_stack(seeds, dim: int, scales) -> np.ndarray:
     """(count, dim, dim) stack: matrix i is `random_strict_nilpotent(seeds[i], dim, scales[i])`.
 
-    Each matrix is drawn and rescaled from its own `default_rng(seeds[i])`
-    exactly as the one-element case does; `scales` is one scale or one per seed.
+    Each matrix is drawn and rescaled exactly as the one-element case does,
+    from a generator that starts in the state `default_rng(seeds[i])` starts
+    in; `scales` is one scale or one per seed.
     """
     if dim < 2:
         raise ValueError(f"dim must be at least 2 for a nonzero strict triangle, got {dim}")
@@ -50,8 +52,7 @@ def random_strict_nilpotent_stack(seeds, dim: int, scales) -> np.ndarray:
         raise ValueError(f"scale must be positive and finite, got {scales[bad][0]}")
     rows, cols = np.triu_indices(dim, 1)
     values = np.empty((count, rows.size), dtype=np.complex128)
-    for i, (seed, scale) in enumerate(zip(seeds, scales.tolist())):
-        rng = np.random.default_rng(seed)
+    for i, (rng, scale) in enumerate(zip(seeded_generators(seeds), scales.tolist())):
         draw = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
         peak_fraction = rng.uniform(0.6, 1.0)
         peak = np.abs(draw).max()
@@ -70,10 +71,13 @@ def random_unitary(seed: int, dim: int) -> MatrixOperator:
 
 
 def random_unitary_stack(seeds, dim: int) -> np.ndarray:
-    """(count, dim, dim) stack whose matrix i is `random_unitary(seeds[i], dim)`, one stacked QR."""
+    """(count, dim, dim) stack whose matrix i is `random_unitary(seeds[i], dim)`, one stacked QR.
+
+    Matrix i is drawn from a generator that starts in the state
+    `default_rng(seeds[i])` starts in.
+    """
     z = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    for i, rng in enumerate(seeded_generators(seeds)):
         z[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeding import seeded_generators
 from .algebra import cone_slack, membership_slack, random_cone_stack, unit_element
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
 from .rigidity import (
@@ -144,9 +145,9 @@ def _cstar_identity(seed, prop, trials, tol):
     dim = _trial_dim(trials[0])
     mats = np.empty((len(trials), dim, dim), dtype=np.complex128)
     scalars = []
-    for i, t in enumerate(trials):
+    rngs = seeded_generators([_trial_seed(seed, prop, t) for t in trials])
+    for i, (t, rng) in enumerate(zip(trials, rngs)):
         scale = _SCALES[t % len(_SCALES)]
-        rng = np.random.default_rng(_trial_seed(seed, prop, t))
         mats[i] = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) * scale
         scalars.append(complex(rng.standard_normal(), rng.standard_normal()) * scale)
     norms = spectral_norms(mats).tolist()
