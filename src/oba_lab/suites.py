@@ -153,10 +153,11 @@ def _cstar_identity(seed, prop, trials, tol):
     norms = spectral_norms(mats).tolist()
     gram_norms = spectral_norms(np.swapaxes(mats.conj(), 1, 2) @ mats).tolist()
     # The scalar arithmetic stays per trial in Python: numpy's vectorized
-    # complex product, complex abs and square round differently in the last bit.
+    # complex product and complex abs round differently in the last bit.
     slack = []
     for norm, gram_norm, xi in zip(norms, gram_norms, scalars):
-        square = max(norm, abs(xi)) ** 2
+        top = max(norm, abs(xi))
+        square = top * top  # correctly rounded, unlike ** (libm pow)
         defect = abs(max(gram_norm, abs(xi.conjugate() * xi)) - square)
         slack.append(tol.rel_tol * square - defect)
     return np.array(slack)
@@ -189,12 +190,14 @@ def _rigidity_family(seed: int, prop: int, trials):
 
 def _trace_bound(seed, prop, trials, tol):
     dim, nil, a = _rigidity_family(seed, prop, trials)
-    # Python's power and the per-matrix Frobenius norm round differently from
-    # their vectorized forms, so this arithmetic stays per trial.
-    return np.array([
-        norm ** 2 - 1.0 - np.linalg.norm(n, "fro") ** 2 / dim + 1e-10
-        for norm, n in zip(spectral_norms(a).tolist(), nil)
-    ])
+    # The per-matrix Frobenius norm rounds differently from its vectorized form,
+    # so this arithmetic stays per trial; x * x, unlike ** (libm pow), is
+    # correctly rounded.
+    slack = []
+    for norm, n in zip(spectral_norms(a).tolist(), nil):
+        fro = np.linalg.norm(n, "fro")
+        slack.append(norm * norm - 1.0 - fro * fro / dim + 1e-10)
+    return np.array(slack)
 
 
 def _dichotomy(seed, prop, trials, tol):

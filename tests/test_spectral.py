@@ -143,9 +143,9 @@ class TestSpectralNorm:
             operator_norm(0, lambda x: x, lambda x: x)
 
 
-    @pytest.mark.parametrize("dim", [2, 64, 512, 513, 1024])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 64, 256, 512, 513, 1024])
     def test_lower_toeplitz_norm_is_the_assembled_norm(self, dim):
-        """Bitwise up to dim 512; above it FFT products against dense products."""
+        """FFT-product Lanczos at every dim against the SVD of the assembled matrix."""
         # the column of (T - I)^3 on the left-endpoint grid, as `growth` norms it
         t = resolvent_at_identity(volterra_matrix(dim, QuadratureRule.LEFT_ENDPOINT))
         power = t.entries - np.eye(dim)
@@ -153,10 +153,17 @@ class TestSpectralNorm:
         random_column = np.random.default_rng(dim).standard_normal(dim)
         for column in (growth_column, random_column):
             dense = spectral_norm(toeplitz(column, np.zeros(dim)))
-            if dim <= 512:
-                assert lower_toeplitz_norm(column) == dense
-            else:
-                assert lower_toeplitz_norm(column) == pytest.approx(dense, rel=1e-13, abs=0)
+            assert lower_toeplitz_norm(column) == pytest.approx(dense, rel=1e-13, abs=0)
+
+    def test_lower_toeplitz_norm_of_degenerate_columns(self):
+        """A 1 x 1 matrix, the zero matrix, and a lone corner entry, whose Krylov
+        spaces are at most two-dimensional."""
+        assert lower_toeplitz_norm([3.0]) == 3.0
+        assert lower_toeplitz_norm(np.zeros(16)) == 0.0
+        for dim in (2, 16, 600):
+            corner = np.zeros(dim)
+            corner[-1] = -2.5
+            assert lower_toeplitz_norm(corner) == pytest.approx(2.5, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("column", [[], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1j]])
     def test_lower_toeplitz_norm_rejects_a_non_vector(self, column):

@@ -241,16 +241,27 @@ class TestGrowthDiagnostic:
         with pytest.raises(ValueError):
             growth_diagnostic(8, 0)
 
-    def test_matches_direct_power_norms_small(self):
-        n, k_max = 16, 8
-        values = growth_diagnostic(n, k_max)
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_every_power_matches_the_assembled_power(self, n):
+        """Every k < n against the SVD of the dense power (T - I)^k."""
+        values = growth_diagnostic(n, n - 1)
         v = volterra_matrix(n, QuadratureRule.LEFT_ENDPOINT)
         base = resolvent_at_identity(v).entries - np.eye(n)
         power = np.eye(n)
-        for k in range(1, k_max + 1):
+        for k in range(1, n):
             power = power @ base
             direct = k * np.linalg.svd(power, compute_uv=False)[0] ** (1 / k)
-            assert values[k - 1] == pytest.approx(direct, rel=1e-10)
+            assert values[k - 1] == pytest.approx(direct, rel=1e-14, abs=0)
+
+    def test_default_grid_takes_no_dense_svd(self, monkeypatch):
+        """The growth path norms FFT products only: no matrix is assembled for an SVD."""
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("growth_diagnostic took a dense SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        values = growth_diagnostic(256, 64)
+        assert values.shape == (64,) and np.all(np.isfinite(values))
 
     @pytest.mark.parametrize(("n", "k_max"), [(64, 16), (256, 64), (600, 8)])
     def test_matches_the_dense_power_chain(self, n, k_max):
