@@ -190,7 +190,7 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     h = 1.0 / n
     log_h, log_q = np.log(h), np.log1p(-h)
     # log_fact[m] = lgamma(m) = log (m - 1)!, index 0 unused.  math.lgamma, not
-    # scipy.special.gammaln: importing scipy.special adds about 0.05 s to every CLI start.
+    # scipy.special.gammaln: the runtime depends on numpy only.
     log_fact = np.array([math.inf] + [math.lgamma(m) for m in range(1, n)])
     column = np.zeros(n)
     out = np.zeros(k_max)

@@ -10,11 +10,14 @@ and review the diff of `tests/golden/` like any other change.
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import oba_lab
 from oba_lab.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -64,6 +67,33 @@ def test_golden_output(name):
     code, out = _run(argv)
     assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new Python process that imports this checkout's `oba_lab`."""
+    src = str(Path(oba_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    result = _fresh_interpreter("import sys, oba_lab.cli; print('scipy' in sys.modules)")
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b"False\n"
+
+
+@pytest.mark.parametrize("name", ["witness-600-left.json", "growth-64-16.json"])
+def test_golden_output_without_scipy(name):
+    """The runtime needs numpy only: the Lanczos norms run with scipy unimportable."""
+    argv, expected_code = CASES[name]
+    result = _fresh_interpreter(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from oba_lab.cli import main\n"
+        f"main({[*argv, '--no-timestamp']!r})"
+    )
+    assert result.returncode == expected_code, result.stderr.decode()
+    assert result.stdout == (GOLDEN_DIR / name).read_bytes()
 
 
 def test_every_golden_file_has_a_case():

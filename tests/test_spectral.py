@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import toeplitz
+from scipy.linalg import eigh_tridiagonal, toeplitz
 
 from oba_lab import (
     MatrixOperator,
@@ -18,7 +18,9 @@ from oba_lab import (
     operator_norm,
     spectral_norm,
 )
+from oba_lab import spectral
 from oba_lab.spectral import spectral_norms
+from oba_lab.volterra import _resolvent_matvecs
 from oracle import (
     gelfand_radius,
     multiset_distance,
@@ -133,6 +135,21 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="real operators only"):
             operator_norm(dim, lambda x: a @ x, lambda x: a.conj().T @ x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dim", [64, 600])
+    def test_operator_norm_rejects_non_finite_products(self, dim, bad):
+        """Both paths: the assembled matrix at 64, the Lanczos loop at 600."""
+
+        def product(x):
+            # writes the value instead of multiplying by it, so the test's own
+            # operator raises no floating-point warning (inf * 0)
+            y = x.copy()
+            y[dim // 2] = bad
+            return y
+
+        with pytest.raises(ValueError, match="needs finite products"):
+            operator_norm(dim, product, product)
+
     def test_operator_norm_rejects_a_complex_transpose(self):
         a = np.random.default_rng(8).standard_normal((600, 600))
         with pytest.raises(ValueError, match="real operators only"):
@@ -165,10 +182,49 @@ class TestSpectralNorm:
             corner[-1] = -2.5
             assert lower_toeplitz_norm(corner) == pytest.approx(2.5, rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("column", [[], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1j]])
-    def test_lower_toeplitz_norm_rejects_a_non_vector(self, column):
-        with pytest.raises(ValueError, match="nonempty real vector"):
+    @pytest.mark.parametrize(
+        "column, clause",
+        [
+            ([], "nonempty real vector"),
+            ([[1.0, 0.0], [0.0, 1.0]], "nonempty real vector"),
+            ([1.0, 1j], "nonempty real vector"),
+            ([np.nan], "finite entries"),
+            ([1.0, np.inf], "finite entries"),
+        ],
+    )
+    def test_lower_toeplitz_norm_rejects_malformed_columns(self, column, clause):
+        with pytest.raises(ValueError, match=clause):
             lower_toeplitz_norm(column)
+
+    @pytest.mark.parametrize(
+        "k, psd",
+        [(1, False), (2, False), (3, False), (16, False), (128, False), (384, False), (384, True)],
+    )
+    def test_top_ritz_is_the_top_eigenvalue_of_the_tridiagonal(self, k, psd):
+        """Against scipy's tridiagonal solver; an off-diagonal on the side that
+        numpy's eigvalsh does not read would fail every k > 1."""
+        rng = np.random.default_rng(k)
+        diag, off = rng.standard_normal(k), rng.standard_normal(k - 1)
+        if psd:
+            # B^T B for the lower bidiagonal B with this diagonal and subdiagonal,
+            # the shape of a Lanczos Gram tridiagonal
+            diag, off = diag * diag + np.append(off * off, 0.0), diag[1:] * off
+        expected = eigh_tridiagonal(diag, off, eigvals_only=True)[-1]
+        assert spectral._top_ritz(diag, off) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_ritz_checks_double(self, monkeypatch):
+        """The n = 600 left witness runs to the step cap: checks at 16, 32, ...,
+        256 and once more at the cap."""
+        sizes = []
+        top_ritz = spectral._top_ritz
+
+        def recording(diag, off):
+            sizes.append(len(diag))
+            return top_ritz(diag, off)
+
+        monkeypatch.setattr(spectral, "_top_ritz", recording)
+        operator_norm(600, *_resolvent_matvecs(600, QuadratureRule.LEFT_ENDPOINT, 0.0))
+        assert sizes == [16, 32, 64, 128, 256, 384]
 
     @pytest.mark.parametrize("dim", [2, 16, 513])
     def test_stacked_norms_are_the_per_matrix_norms_bitwise(self, dim):
