@@ -124,9 +124,12 @@ class TestSpectralNorm:
         first = operator_norm(600, lambda x: a @ x, lambda x: a.T @ x)
         # the start vector is seeded, so equal products give a bitwise-equal Ritz value
         assert operator_norm(600, lambda x: a @ x, lambda x: a.T @ x) == first
-        # up to dim 512 the columns a @ e_j are exact, so the SVD sees a itself
-        a = a[:64, :64].copy()
-        assert operator_norm(64, lambda x: a @ x, lambda x: a.T @ x) == spectral_norm(a)
+        # up to dim 512 the iteration may span the whole space, so the Ritz value
+        # is the norm up to rounding, on either side of the 384-step cap
+        for dim in (1, 2, 64, 385, 512):
+            block = a[:dim, :dim].copy()
+            norm = operator_norm(dim, lambda x: block @ x, lambda x: block.T @ x)
+            assert norm == pytest.approx(spectral_norm(block), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("dim", [64, 600])
     def test_operator_norm_rejects_complex_operators(self, dim):
@@ -138,7 +141,7 @@ class TestSpectralNorm:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("dim", [64, 600])
     def test_operator_norm_rejects_non_finite_products(self, dim, bad):
-        """Both paths: the assembled matrix at 64, the Lanczos loop at 600."""
+        """Where the Lanczos loop may span the whole space (64) and where it is capped (600)."""
 
         def product(x):
             # writes the value instead of multiplying by it, so the test's own
@@ -212,19 +215,29 @@ class TestSpectralNorm:
         expected = eigh_tridiagonal(diag, off, eigvals_only=True)[-1]
         assert spectral._top_ritz(diag, off) == pytest.approx(expected, rel=1e-14, abs=0)
 
-    def test_ritz_checks_double(self, monkeypatch):
-        """The n = 600 left witness runs to the step cap: checks at 16, 32, ...,
-        256 and once more at the cap."""
-        sizes = []
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [
+            (512, [16, 32, 64, 128, 256, 512]),
+            (513, [16, 32, 64, 128, 256, 384]),
+            (600, [16, 32, 64, 128, 256, 384]),
+        ],
+        ids=["512", "513", "600"],
+    )
+    def test_ritz_checks_double(self, n, sizes, monkeypatch):
+        """The left witness's `norm_T` runs to its step cap: checks at 16, 32,
+        ..., 256 and once more at the cap, which is the whole space up to
+        n = 512 and 384 steps above it."""
+        seen = []
         top_ritz = spectral._top_ritz
 
         def recording(diag, off):
-            sizes.append(len(diag))
+            seen.append(len(diag))
             return top_ritz(diag, off)
 
         monkeypatch.setattr(spectral, "_top_ritz", recording)
-        operator_norm(600, *_resolvent_matvecs(600, QuadratureRule.LEFT_ENDPOINT, 0.0))
-        assert sizes == [16, 32, 64, 128, 256, 384]
+        operator_norm(n, *_resolvent_matvecs(n, QuadratureRule.LEFT_ENDPOINT, 0.0))
+        assert seen == sizes
 
     @pytest.mark.parametrize("dim", [2, 16, 513])
     def test_stacked_norms_are_the_per_matrix_norms_bitwise(self, dim):

@@ -22,7 +22,8 @@ from oba_lab import (
     operator_norm,
     spectral_norm,
 )
-from oba_lab import volterra
+from oba_lab import spectral, volterra
+from oba_lab.cli import DEFAULT_NS
 from oba_lab.volterra import _resolvent_matvecs
 from oracle import (
     gelfand_radius,
@@ -170,12 +171,34 @@ class TestMatrixFreeWitness:
     @pytest.mark.parametrize("rule", list(QuadratureRule))
     @pytest.mark.parametrize("n", [2, 64, 512, 600, 1024])
     def test_operator_norm_matches_dense_norm(self, n, rule):
+        """The SVD up to n = 512; above it, where the Lanczos iteration is
+        capped, the same iteration on the dense products."""
         t = resolvent_at_identity(volterra_matrix(n, rule)).entries
         for shift in (0.0, 1.0):
             a = t - shift * np.eye(n)
-            dense = operator_norm(n, lambda x: a @ x, lambda x: a.T @ x)
             matrix_free = operator_norm(n, *_resolvent_matvecs(n, rule, shift))
-            assert matrix_free == pytest.approx(dense, rel=1e-13, abs=0)
+            if n <= 512:
+                assert matrix_free == pytest.approx(spectral_norm(a), rel=1e-14, abs=0)
+            else:
+                dense = operator_norm(n, lambda x: a @ x, lambda x: a.T @ x)
+                assert matrix_free == pytest.approx(dense, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    @pytest.mark.parametrize("n", [1, 2, 3, 383, 384, 385, 448, 511, 512])
+    def test_witness_norms_are_the_dense_norms_up_to_512(self, n, rule):
+        """Lanczos spans the whole space up to n = 512, on both sides of the
+        384-step cap that holds above it, so both norms are the SVD's: to 1e-14
+        of the matrix the witness's own products apply, and to 1e-13 of the
+        dense solve, from which the products' sequential cumsum strays by up to
+        about 2e-14 relative in `deviation`."""
+        t = resolvent_at_identity(volterra_matrix(n, rule)).entries
+        w = build_witness(n, rule, TOL)
+        for shift, norm in ((0.0, w.norm_T), (1.0, w.deviation)):
+            matvec, _ = _resolvent_matvecs(n, rule, shift)
+            assembled = np.column_stack([matvec(e) for e in np.eye(n)])
+            assert norm == pytest.approx(spectral_norm(assembled), rel=1e-14, abs=0)
+            dense = spectral_norm(t - shift * np.eye(n))
+            assert norm == pytest.approx(dense, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("rule", list(QuadratureRule))
     @pytest.mark.parametrize("n", [1, 2, 7, 512, 513, 4096])
@@ -224,6 +247,17 @@ class TestConvergence:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             convergence_study([], QuadratureRule.TRAPEZOID, TOL)
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    def test_default_grid_takes_no_dense_svd(self, rule, monkeypatch):
+        """Every witness norm is matrix-free: no matrix is assembled for an SVD."""
+
+        def no_svd(stack):
+            raise AssertionError("convergence_study took a dense SVD")
+
+        monkeypatch.setattr(spectral, "spectral_norms", no_svd)
+        rows = convergence_study(DEFAULT_NS, rule, TOL)
+        assert [r.n for r in rows] == list(DEFAULT_NS)
 
 
 class TestGrowthDiagnostic:
