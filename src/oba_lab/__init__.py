@@ -31,7 +31,6 @@ from .spectral import (
     cluster_radius,
     eigenvalues,
     lower_toeplitz_norm,
-    operator_norm,
     spectral_norm,
 )
 from .suites import PropertyResult, SuiteReport, run_axiom_suite, run_rigidity_suite
@@ -70,7 +69,6 @@ __all__ = [
     "geq_unit",
     "growth_diagnostic",
     "lower_toeplitz_norm",
-    "operator_norm",
     "prod_involution",
     "prod_mul",
     "prod_norm",

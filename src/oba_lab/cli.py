@@ -13,7 +13,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -31,16 +30,6 @@ from .volterra import (
 )
 
 DEFAULT_NS = (16, 32, 64, 128, 256, 512, 1024)
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("OBA_LAB_SEED")
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"OBA_LAB_SEED must be an integer, got {raw!r}") from exc
 
 
 def _record(obj, *properties: str) -> dict:
@@ -90,8 +79,7 @@ def _run_converge(args):
 
 
 def _run_suite(run_suite, args):
-    seed = args.seed if args.seed is not None else _env_seed()
-    suite = run_suite(args.trials, seed, ToleranceConfig(args.abs_tol, args.rel_tol))
+    suite = run_suite(args.trials, args.seed, ToleranceConfig(args.abs_tol, args.rel_tol))
     report = _record(suite)
     properties = [_record(r, "passed") for r in report.pop("results")]
     report["properties"] = properties
@@ -188,8 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=functools.partial(_run_suite, run_suite),
                        abs_tol=DEFAULT_TOLERANCE.abs_tol, rel_tol=DEFAULT_TOLERANCE.rel_tol)
         p.add_argument("--trials", type=int, default=10_000)
-        p.add_argument("--seed", type=int, default=None,
-                       help="trial seed (default: $OBA_LAB_SEED or 42)")
+        p.add_argument("--seed", type=int, default=42, help="trial seed")
     # no rigidity property reads a tolerance, so only axioms takes them as flags
     sub.choices["axioms"].add_argument("--abs-tol", type=float)
     sub.choices["axioms"].add_argument("--rel-tol", type=float)

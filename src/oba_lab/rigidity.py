@@ -7,6 +7,7 @@ any nonzero nilpotent part pushes the norm strictly above 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,19 +106,28 @@ def rigidity_gaps(stack) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> RigidityVerdict:
-    """Enforce the rigidity hypotheses, then require the element to be the identity.
+    """Enforce the rigidity hypotheses, then check the deviation from I against its law.
 
     Raises ValueError, naming the clause, unless `a` is a nonempty square
     matrix of finite entries (checked by `eigenvalues` before anything else).
     Raises PreconditionError naming the failed clause when the spectrum is not
-    concentrated at 1 (within abs_tol) or the norm exceeds 1 + abs_tol.  When
-    both hypotheses hold but the matrix still differs from I beyond abs_tol
-    (possible only in a narrow float boundary band, since no quantitative
-    stability law is claimed), raises ComputationError rather than passing.
-    The norm clause reads the norm excess of the returned verdict, so ||A||
-    is computed once.
+    concentrated at 1 (within abs_tol) or the norm exceeds 1 + abs_tol.  The
+    norm clause reads the norm excess of the returned verdict, so ||A|| is
+    computed once.
+
+    When the spectrum is exactly {1} (as `eigenvalues` reads it off a
+    triangular diagonal), A = I + N with N nilpotent, and the linear law
+    ||A - I|| <= sqrt(2d(d-1)) (||A|| - 1) holds in dimension d (by the field
+    of values; Horn-Johnson, Topics in Matrix Analysis, ch. 1).  The verdict
+    is returned unless the deviation exceeds sqrt(2d(d-1)) times the
+    nonnegative part of the norm excess plus a rounding margin of
+    4 d eps (1 + excess) for the two SVDs; its `is_identity` stays
+    deviation <= abs_tol.  For a spectrum only within abs_tol of 1 no
+    perturbed law is derived: a deviation beyond abs_tol raises
+    ComputationError, as it does when the law fails.
     """
-    radius = cluster_radius(eigenvalues(a), 1.0)
+    eigs = eigenvalues(a)
+    radius = cluster_radius(eigs, 1.0)
     if radius > tol.abs_tol:
         raise PreconditionError(
             f"spectrum clause failed: eigenvalue cluster radius about 1 is "
@@ -129,7 +139,17 @@ def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
             f"norm clause failed: spectral norm {1.0 + verdict.norm_excess:.12f} exceeds "
             f"1 + abs_tol {tol.abs_tol:.1e}"
         )
-    if not verdict.is_identity:
+    if radius == 0.0:
+        dim = eigs.size
+        excess = max(verdict.norm_excess, 0.0)
+        margin = 4 * dim * np.finfo(np.float64).eps * (1.0 + excess)
+        allowed = math.sqrt(2 * dim * (dim - 1)) * (excess + margin)
+        if verdict.deviation > allowed:
+            raise ComputationError(
+                f"rigidity law violated: deviation from identity is {verdict.deviation:.6e}, "
+                f"above sqrt(2d(d-1)) (norm excess + margin) = {allowed:.6e} at d = {dim}"
+            )
+    elif not verdict.is_identity:
         raise ComputationError(
             f"rigidity dichotomy violated at tolerance {tol.abs_tol:.1e}: "
             f"deviation from identity is {verdict.deviation:.6e}"

@@ -52,33 +52,12 @@ def spectral_norms(stack) -> np.ndarray:
     return np.linalg.svd(np.asarray(stack), compute_uv=False)[:, 0]
 
 
-def operator_norm(dim: int, matvec, rmatvec) -> float:
-    """Largest singular value of a real dim x dim operator given only by its action.
-
-    `matvec(x)` must return A x and `rmatvec(x)` must return A^T x for a real
-    vector x of length dim.  No matrix is formed, at any dimension: the norm
-    is the square root of the top Ritz value of a Lanczos iteration on A^T A
-    with a seeded start, so equal products give bitwise-equal values.  Each
-    step reorthogonalizes against the whole Krylov basis: one Gram-Schmidt
-    pass, plus a second only when the first cancels most of the new vector.
-    Up to dimension 512 the iteration may run to the whole space, where the
-    Ritz value is the norm up to rounding; above that it stops at 384 steps,
-    a lower bound that approaches the norm from below.  Both stop tests are
-    relative, so the result scales with A wherever its Gram products neither
-    overflow nor underflow.  A complex product, or one with a NaN or
-    infinity, raises ValueError.
-    """
-    if dim < 1:
-        raise ValueError(f"operator dimension must be at least 1, got {dim}")
-    return _gram_lanczos(dim, lambda v: _real_product(rmatvec(_real_product(matvec(v)))))
-
-
 def lower_toeplitz_norm(column) -> float:
     """Largest singular value of the real lower-triangular Toeplitz matrix with this first column.
 
     The matrix is never formed, at any dimension: the products with it and its
     transpose are FFT convolution and correlation at the first power of two of
-    at least 2n - 1, so no wraparound occurs, and `operator_norm` takes the
+    at least 2n - 1, so no wraparound occurs, and `_gram_lanczos` takes the
     norm from them, in O(n log n) time per step and O(n) memory per basis
     vector.  The column must be finite.
     """
@@ -98,17 +77,24 @@ def lower_toeplitz_norm(column) -> float:
     def product(spectrum, x):
         return irfft(spectrum * rfft(x, size), size)[:n]
 
-    return operator_norm(n, lambda x: product(symbol, x), lambda x: product(symbol_conj, x))
-
-
-def _real_product(y) -> np.ndarray:
-    if np.iscomplexobj(y):
-        raise ValueError("operator_norm supports real operators only, got a complex product")
-    return y
+    return _gram_lanczos(n, lambda x: product(symbol_conj, product(symbol, x)))
 
 
 def _gram_lanczos(n: int, gram) -> float:
-    """sqrt of the top Ritz value of the real symmetric PSD operator `gram` from a seeded start."""
+    """Largest singular value of a real n x n operator A, given `gram(x)` = A^T A x for n >= 1.
+
+    No matrix is formed: the norm is the square root of the top Ritz value of
+    a Lanczos iteration on A^T A with a seeded start, so equal products give
+    bitwise-equal values.  Each step reorthogonalizes against the whole Krylov
+    basis: one Gram-Schmidt pass, plus a second only when the first cancels
+    most of the new vector.  Up to dimension 512 the iteration may run to the
+    whole space, where the Ritz value is the norm up to rounding; above that
+    it stops at 384 steps, a lower bound that approaches the norm from below.
+    Both stop tests are relative, so the result scales with A wherever its
+    Gram products neither overflow nor underflow.  A product with a NaN or
+    infinity raises ValueError.  The callers guarantee n >= 1 and real
+    products.
+    """
     v = default_rng(_LANCZOS_SEED).standard_normal(n)
     v = v / np.linalg.norm(v)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import membership_slack
 from .operators import DEFAULT_TOLERANCE, ToleranceConfig
-from .spectral import lower_toeplitz_norm, operator_norm
+from .spectral import _gram_lanczos, lower_toeplitz_norm
 
 MAX_GRID = 4096
 
@@ -109,13 +109,18 @@ def build_witness(
     one norm: (T_n, xi) is in the cone by ||T_n|| against xi, and it is above
     the unit iff (T_n - I, xi - 1) is in the cone, by ||T_n - I|| against xi - 1.
 
-    One path serves every n: both norms come from `operator_norm` on the O(n)
-    Toeplitz products of `_resolvent_matvecs`, with no V_n formed and no system
-    solved, and the spectrum of the triangular T_n is its diagonal c_0 alone.
+    One path serves every n: both norms come from `spectral._gram_lanczos` on
+    the O(n) Toeplitz products of `_resolvent_matvecs`, with no V_n formed and
+    no system solved, and the spectrum of the triangular T_n is its diagonal
+    c_0 alone.
     """
     _check_grid(n)
-    norm_t = operator_norm(n, *_resolvent_matvecs(n, rule, 0.0))
-    deviation = operator_norm(n, *_resolvent_matvecs(n, rule, 1.0))
+
+    def norm(shift):
+        matvec, rmatvec = _resolvent_matvecs(n, rule, shift)
+        return _gram_lanczos(n, lambda x: rmatvec(matvec(x)))
+
+    norm_t, deviation = norm(0.0), norm(1.0)
     radius = abs(1.0 / _resolvent_symbol(n, rule)[0] - 1.0)
     xi = max(1.0, norm_t)
     return WitnessReport(

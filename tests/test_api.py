@@ -31,7 +31,6 @@ PROMISED = [
     "geq_unit",
     "growth_diagnostic",
     "lower_toeplitz_norm",
-    "operator_norm",
     "prod_involution",
     "prod_mul",
     "prod_norm",

@@ -20,6 +20,7 @@ from oba_lab import (
     rigidity_gap,
     spectral_norm,
 )
+from oba_lab import rigidity
 from oba_lab.rigidity import random_strict_nilpotent_stack, random_unitary_stack, rigidity_gaps
 from oracle import resolvent_at_identity, volterra_matrix
 
@@ -202,10 +203,49 @@ class TestCheckRigidity:
         with pytest.raises(ValueError, match=clause):
             check_rigidity(bad, TOL)
 
-    def test_boundary_band_raises_computation_error(self):
-        # passes both hypotheses at a loose tolerance yet is not the identity
-        # there: norm excess ~ eps/2 stays inside abs_tol while the deviation
-        # eps lands beyond it
-        a = MatrixOperator(np.eye(2) + np.array([[0.0, 1.5e-4], [0.0, 0.0]]))
+    @pytest.mark.parametrize("t, abs_tol", [(1.5e-9, 1e-9), (1.5e-4, 1e-4)])
+    def test_boundary_band_returns_the_verdict(self, t, abs_tol):
+        # passes both hypotheses yet is not the identity at abs_tol: the norm
+        # excess ~ t/2 stays inside abs_tol while the deviation t lands beyond
+        # it, which is exactly what the linear law allows at d = 2
+        a = MatrixOperator(np.eye(2) + np.array([[0.0, t], [0.0, 0.0]]))
+        verdict = check_rigidity(a, ToleranceConfig(abs_tol=abs_tol, rel_tol=1e-9))
+        assert verdict.deviation == pytest.approx(t, rel=1e-12)
+        assert verdict.norm_excess <= abs_tol
+        assert not verdict.is_identity
+
+    def test_violated_law_raises_computation_error(self, monkeypatch):
+        # norms that no unipotent matrix has: no excess, yet a deviation of 1e-3
+        monkeypatch.setattr(
+            rigidity, "rigidity_gaps", lambda stack: (np.array([0.0]), np.array([1e-3]))
+        )
+        a = MatrixOperator(np.eye(2) + np.array([[0.0, 1e-3], [0.0, 0.0]]))
+        with pytest.raises(ComputationError, match="rigidity law violated"):
+            check_rigidity(a, ToleranceConfig(abs_tol=1e-4, rel_tol=1e-9))
+
+    def test_perturbed_spectrum_keeps_the_dichotomy_clause(self):
+        # the spectrum is only within abs_tol of 1, where no law is claimed
+        a = MatrixOperator(np.array([[1.0, 1.5e-4], [0.0, 1.0 + 1e-10]]))
         with pytest.raises(ComputationError, match="dichotomy"):
             check_rigidity(a, ToleranceConfig(abs_tol=1e-4, rel_tol=1e-9))
+
+
+class TestLinearLaw:
+    """||A - I|| <= sqrt(2d(d-1)) (||A|| - 1) for A = I + N, N nilpotent (Horn-Johnson)."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 10.0])
+    def test_law_and_its_field_of_values_step(self, scale):
+        eps = np.finfo(np.float64).eps
+        for dim in range(2, 17):
+            n = random_strict_nilpotent_stack(range(64), dim, scale)
+            excess, deviation = rigidity_gaps(np.eye(dim) + n)
+            margin = 4 * dim * eps * (1 + excess)
+            assert (deviation <= math.sqrt(2 * dim * (dim - 1)) * (excess + margin)).all()
+            # ||A|| >= max Re<Ax, x> = 1 + lambda_max of the Hermitian part of N
+            hermitian = (n + np.conj(np.swapaxes(n, -1, -2))) / 2
+            assert (excess >= np.linalg.eigvalsh(hermitian)[:, -1] - margin).all()
+
+    def test_law_is_sharp_at_dimension_two(self):
+        # a constant of sqrt(d(d-1)/2) = 1 would fail here
+        verdict = rigidity_gap(MatrixOperator(np.eye(2) + np.array([[0.0, 1e-6], [0.0, 0.0]])))
+        assert verdict.deviation / (2 * verdict.norm_excess) >= 0.9999997
