@@ -19,6 +19,7 @@ from .operators import _validated_square
 
 # Matrix-free operators up to this dim: Lanczos runs to the whole space, where
 # its Ritz value is the norm up to rounding and the basis is at most 512 x 512.
+# `volterra.build_witness` takes its norms in closed form up to the same dim.
 _FULL_SPACE_MAX_DIM = 512
 # perfbench/tracer.py reads this name to split its `spectral_norm` metrics by
 # dimension; a traced benchmark pass raises AttributeError without it.

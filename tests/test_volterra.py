@@ -184,21 +184,18 @@ class TestMatrixFreeWitness:
                 assert matrix_free == pytest.approx(dense, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("rule", list(QuadratureRule))
-    @pytest.mark.parametrize("n", [1, 2, 3, 383, 384, 385, 448, 511, 512])
+    @pytest.mark.parametrize("n", [*range(1, 70), 100, 255, 256, 383, 384, 385, 448, 511, 512])
     def test_witness_norms_are_the_dense_norms_up_to_512(self, n, rule):
-        """Lanczos spans the whole space up to n = 512, on both sides of the
-        384-step cap that holds above it, so both norms are the SVD's: to 1e-14
-        of the matrix the witness's own products apply, and to 1e-13 of the
-        dense solve, from which the products' sequential cumsum strays by up to
-        about 2e-14 relative in `deviation`."""
+        """Up to n = 512 both norms are the closed-form secular root, within
+        1e-14 of the SVD of the dense solve (measured: at most 1.6e-15).  The
+        cancelling denominator a^2 + b^2 - 2ab cos(theta) misses by up to
+        5e-12, and the cancelling last row a sin((n + 1) theta) - b sin(n theta)
+        by 1.8e-14 (n = 384, trapezoid, `deviation`)."""
         t = resolvent_at_identity(volterra_matrix(n, rule)).entries
         w = build_witness(n, rule, TOL)
         for shift, norm in ((0.0, w.norm_T), (1.0, w.deviation)):
-            matvec, _ = _resolvent_matvecs(n, rule, shift)
-            assembled = np.column_stack([matvec(e) for e in np.eye(n)])
-            assert norm == pytest.approx(spectral_norm(assembled), rel=1e-14, abs=0)
             dense = spectral_norm(t - shift * np.eye(n))
-            assert norm == pytest.approx(dense, rel=1e-13, abs=0)
+            assert norm == pytest.approx(dense, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("rule", list(QuadratureRule))
     @pytest.mark.parametrize("n", [1, 2, 7, 512, 513, 4096])
@@ -221,6 +218,57 @@ class TestMatrixFreeWitness:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20  # one dense 4096 x 4096 float64 matrix is 128 MiB
+
+
+class TestClosedFormWitness:
+    """The witness norms up to n = 512 are roots of the secular equation of `_witness_norm`."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_matches_the_exact_norm(self, n, rule, shift):
+        """Against a 40-digit SVD of T_n - shift I, with T_n solved from V_n by
+        its definition: within 2.5e-16 relative (measured: at most 1.4e-16).
+        Lanczos over the whole space is up to 1.3e-15 off here (n = 48, left,
+        `deviation`)."""
+        with mpmath.workdps(40):
+            h = mpmath.mpf(1) / n
+            v = mpmath.matrix(n, n)
+            for i in range(n):
+                v[i, i] = h / 2 if rule is QuadratureRule.TRAPEZOID else 0
+                for j in range(i):
+                    v[i, j] = h
+            t = mpmath.inverse(mpmath.eye(n) + v) - shift * mpmath.eye(n)
+            exact = max(mpmath.svd_r(t, compute_uv=False))
+            w = build_witness(n, rule, TOL)
+            error = abs(mpmath.mpf(w.deviation if shift else w.norm_T) / exact - 1)
+        assert error <= 2.5e-16
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    @pytest.mark.parametrize("n", [5, 7, 9, 13, 17, 20])
+    def test_norm_stays_below_the_symbol_bound(self, n, rule):
+        """||T_n|| < 2/(a + b), the sup of the symbol, and a scan that touched
+        theta = pi took the trivial root there, exactly 2/(a + b), at these n."""
+        a, b = volterra._resolvent_symbol(n, rule)
+        assert build_witness(n, rule, TOL).norm_T < 2.0 / (a + b)
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    def test_lanczos_runs_only_above_512(self, rule, monkeypatch):
+        calls = []
+        lanczos = volterra._gram_lanczos
+
+        def counted(n, gram):
+            calls.append(n)
+            return lanczos(n, gram)
+
+        monkeypatch.setattr(volterra, "_gram_lanczos", counted)
+        convergence_study(DEFAULT_NS, rule, TOL)
+        assert calls == [1024, 1024]
+        calls.clear()
+        build_witness(512, rule, TOL)
+        assert calls == []
+        build_witness(513, rule, TOL)
+        assert calls == [513, 513]
 
 
 class TestConvergence:
