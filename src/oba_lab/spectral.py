@@ -1,7 +1,7 @@
 """Spectral computations: operator norms (of dense matrices and stacks by SVD;
 of operators given only by their action, lower-triangular Toeplitz matrices
-among them, by Lanczos at every dimension), eigenvalues and their spread about
-a center."""
+among them, by Lanczos of at most min(n, 384) steps at every dimension n),
+eigenvalues and their spread about a center."""
 
 from __future__ import annotations
 
@@ -17,13 +17,9 @@ from numpy.random import default_rng
 from .errors import ComputationError
 from .operators import _validated_square
 
-# Matrix-free operators up to this dim: Lanczos runs to the whole space, where
-# its Ritz value is the norm up to rounding and the basis is at most 512 x 512.
-# `volterra.build_witness` takes its norms in closed form up to the same dim.
-_FULL_SPACE_MAX_DIM = 512
 # perfbench/tracer.py reads this name to split its `spectral_norm` metrics by
 # dimension; a traced benchmark pass raises AttributeError without it.
-_SVD_MAX_DIM = _FULL_SPACE_MAX_DIM
+_SVD_MAX_DIM = 512
 _LANCZOS_SEED = 0x5EED
 _LANCZOS_MAX_STEPS = 384
 _LANCZOS_TOL = 1e-12
@@ -88,9 +84,9 @@ def _gram_lanczos(n: int, gram) -> float:
     a Lanczos iteration on A^T A with a seeded start, so equal products give
     bitwise-equal values.  Each step reorthogonalizes against the whole Krylov
     basis: one Gram-Schmidt pass, plus a second only when the first cancels
-    most of the new vector.  Up to dimension 512 the iteration may run to the
-    whole space, where the Ritz value is the norm up to rounding; above that
-    it stops at 384 steps, a lower bound that approaches the norm from below.
+    most of the new vector.  It stops by min(n, 384) steps: up to dimension
+    384 that may be the whole space, where the Ritz value is the norm up to
+    rounding; above it, a lower bound that approaches the norm from below.
     Both stop tests are relative, so the result scales with A wherever its
     Gram products neither overflow nor underflow.  A product with a NaN or
     infinity raises ValueError.  The callers guarantee n >= 1 and real
@@ -99,7 +95,7 @@ def _gram_lanczos(n: int, gram) -> float:
     v = default_rng(_LANCZOS_SEED).standard_normal(n)
     v = v / np.linalg.norm(v)
 
-    steps = n if n <= _FULL_SPACE_MAX_DIM else _LANCZOS_MAX_STEPS
+    steps = min(n, _LANCZOS_MAX_STEPS)
     # one Lanczos vector per row, so each projection reads one block; row j is
     # written before any read, so the basis needs no zeroing
     basis = np.empty((steps, n))

@@ -180,7 +180,7 @@ def test_criterion_8_resolvent_residual():
     worst = 0.0
     for n, rule in cases:
         # the package's T_n, column by column from its O(n) products
-        matvec, _ = _resolvent_matvecs(n, rule, 0.0)
+        matvec, _ = _resolvent_matvecs(n, rule)
         t = np.column_stack([matvec(e) for e in np.eye(n)])
         worst = max(worst, resolvent_residual(volterra_matrix(n, rule), t))
     ok = worst <= 1e-10
