@@ -111,11 +111,10 @@ def seeded_generators(seeds) -> Iterator[np.random.Generator]:
     states = _pcg64_states(seeds)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+    # the setter copies the values out, so one dict is rewritten for every seed
+    full = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    pcg = full["state"]
     for state, inc in states:
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        pcg["state"], pcg["inc"] = state, inc
+        bitgen.state = full
         yield rng

@@ -154,10 +154,11 @@ def random_cone_stack(seeds, dim: int, scales) -> tuple[np.ndarray, np.ndarray, 
 
     Element i is `random_cone_element(seeds[i], dim, scales[i])` bit for bit:
     its draws come in the same order from a generator that starts in the
-    state `default_rng(seeds[i])` starts in, and only the norms are taken over
-    the whole stack.  `scales` is one scale or one per seed.  Returns the
-    (count, dim, dim) matrix parts, the real scalar parts, and the spectral
-    norm of each matrix part.
+    state `default_rng(seeds[i])` starts in, one call for its normals and one
+    for its uniforms, and only the norms are taken over the whole stack.
+    `scales` is one scale or one per seed.  Returns the (count, dim, dim)
+    matrix parts, the real scalar parts, and the spectral norm of each matrix
+    part.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
@@ -166,13 +167,14 @@ def random_cone_stack(seeds, dim: int, scales) -> tuple[np.ndarray, np.ndarray, 
     bad = ~(np.isfinite(scales) & (scales >= 0))
     if bad.any():
         raise ValueError(f"scale must be finite and nonnegative, got {scales[bad][0]}")
-    real, imag = np.empty((2, count, dim, dim))
+    # one call per trial draws the real then the imaginary parts: a generator
+    # fills an array element by element, so these are the draws of two calls
+    normals = np.empty((count, 2, dim, dim))
     fractions = np.empty((count, 2))
-    for i, rng in enumerate(seeded_generators(seeds)):
-        rng.standard_normal(out=real[i])
-        rng.standard_normal(out=imag[i])
-        rng.random(out=fractions[i])  # two uniform draws on [0, 1)
-    raw = real + 1j * imag
+    for rng, normal, fraction in zip(seeded_generators(seeds), normals, fractions):
+        rng.standard_normal(out=normal)
+        rng.random(out=fraction)  # two uniform draws on [0, 1)
+    raw = normals[:, 0] + 1j * normals[:, 1]
     norm_fraction, scalar_fraction = fractions.T
     raw_norms = spectral_norms(raw)
     # scale 0 and a zero draw both give a zero matrix part

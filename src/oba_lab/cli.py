@@ -71,8 +71,12 @@ def _run_converge(args):
         # accretivity sandwich: spectral-radius lower bound, norm upper bound
         passed = all(1.0 / (1.0 + w.h / 2) <= w.norm_T <= 1.0 + 1e-10 for w in witnesses)
     else:
-        # quasinilpotency: spectrum exactly {1}, yet the norm exceeds 1
-        passed = all(w.cluster_radius == 0.0 and w.norm_excess > 0 for w in witnesses)
+        # quasinilpotency: spectrum exactly {1}, and the rigidity dichotomy: the
+        # norm exceeds 1 unless T is the identity (T_1 = I, as V_1 = 0)
+        passed = all(
+            w.cluster_radius == 0.0 and (w.norm_excess > 0 or w.deviation == 0)
+            for w in witnesses
+        )
     report = {"rule": rule.value, "rows": table}
     targets = {"norm_T": 1.0, "cluster_radius": 0.0, "norm_excess": 0.0}
     return report, targets, passed, (header, table)

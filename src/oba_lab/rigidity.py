@@ -40,9 +40,12 @@ def random_strict_nilpotent(seed: int, dim: int, scale: float) -> MatrixOperator
 def random_strict_nilpotent_stack(seeds, dim: int, scales) -> np.ndarray:
     """(count, dim, dim) stack: matrix i is `random_strict_nilpotent(seeds[i], dim, scales[i])`.
 
-    Each matrix is drawn and rescaled exactly as the one-element case does,
-    from a generator that starts in the state `default_rng(seeds[i])` starts
-    in; `scales` is one scale or one per seed.
+    Matrix i is drawn from a generator that starts in the state
+    `default_rng(seeds[i])` starts in, by one call for the real then the
+    imaginary parts of its strict upper triangle and one for its peak
+    fraction; the rescaling runs over the whole stack, elementwise, so each
+    matrix is bitwise the one-element case.  `scales` is one scale or one
+    per seed.
     """
     if dim < 2:
         raise ValueError(f"dim must be at least 2 for a nonzero strict triangle, got {dim}")
@@ -52,15 +55,17 @@ def random_strict_nilpotent_stack(seeds, dim: int, scales) -> np.ndarray:
     if bad.any():
         raise ValueError(f"scale must be positive and finite, got {scales[bad][0]}")
     rows, cols = np.triu_indices(dim, 1)
-    values = np.empty((count, rows.size), dtype=np.complex128)
-    for i, (rng, scale) in enumerate(zip(seeded_generators(seeds), scales.tolist())):
-        draw = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
-        peak_fraction = rng.uniform(0.6, 1.0)
-        peak = np.abs(draw).max()
-        if peak == 0.0:  # measure-zero draw; keep the contract anyway
-            draw[0] = 1.0
-            peak = 1.0
-        values[i] = draw * (peak_fraction * scale / peak)
+    normals = np.empty((count, 2, rows.size))
+    peak_fractions = []
+    for rng, normal in zip(seeded_generators(seeds), normals):
+        rng.standard_normal(out=normal)
+        peak_fractions.append(rng.uniform(0.6, 1.0))
+    values = normals[:, 0] + 1j * normals[:, 1]
+    peaks = np.abs(values).max(axis=1)
+    zero = peaks == 0.0  # measure-zero draw; keep the contract anyway
+    values[zero, 0] = 1.0
+    peaks[zero] = 1.0
+    values *= (np.array(peak_fractions) * scales / peaks)[:, np.newaxis]
     mats = np.zeros((count, dim, dim), dtype=np.complex128)
     mats[:, rows, cols] = values
     return mats
@@ -75,12 +80,13 @@ def random_unitary_stack(seeds, dim: int) -> np.ndarray:
     """(count, dim, dim) stack whose matrix i is `random_unitary(seeds[i], dim)`, one stacked QR.
 
     Matrix i is drawn from a generator that starts in the state
-    `default_rng(seeds[i])` starts in.
+    `default_rng(seeds[i])` starts in, by one call for the real then the
+    imaginary parts.
     """
-    z = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-    for i, rng in enumerate(seeded_generators(seeds)):
-        z[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
+    normals = np.empty((len(seeds), 2, dim, dim))
+    for rng, normal in zip(seeded_generators(seeds), normals):
+        rng.standard_normal(out=normal)
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, np.newaxis, :]
 
@@ -121,10 +127,22 @@ def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
     of values; Horn-Johnson, Topics in Matrix Analysis, ch. 1).  The verdict
     is returned unless the deviation exceeds sqrt(2d(d-1)) times the
     nonnegative part of the norm excess plus a rounding margin of
-    4 d eps (1 + excess) for the two SVDs; its `is_identity` stays
-    deviation <= abs_tol.  For a spectrum only within abs_tol of 1 no
-    perturbed law is derived: a deviation beyond abs_tol raises
-    ComputationError, as it does when the law fails.
+    4 d eps (1 + excess) for the two Gram-eigenvalue norms; its `is_identity`
+    stays deviation <= abs_tol.
+
+    The margin holds because the law is checked only after the norm clause
+    has passed: the true excess is then at most about abs_tol, so by the law
+    itself A = I + N with ||N||_F small, and |A| is within ||N||_F of I.
+    Forming A^H A then errs by about d eps rather than the general d^2 eps,
+    and with the eigensolver's backward error ||A||, hence the excess, is
+    within about 2 d eps (1 + excess) of its value.  ||A - I|| errs by at
+    most (d + 1)^2 eps relative; by the law that is at most
+    sqrt(2d(d-1)) (d + 1)^2 eps times the excess, far below the margin's
+    share while the excess is about abs_tol.
+
+    For a spectrum only within abs_tol of 1 no perturbed law is derived: a
+    deviation beyond abs_tol raises ComputationError, as it does when the law
+    fails.
     """
     eigs = eigenvalues(a)
     radius = cluster_radius(eigs, 1.0)

@@ -4,8 +4,9 @@ Each suite is a table of properties, and one engine runs both tables.  Every
 trial derives its own seed from (suite seed, property index, trial index), so
 reports are reproducible run to run and individual failures can be replayed in
 isolation: a trial run alone, as a block of one, gives the same slack.  Draws
-are made per trial; the trials of a property that share a dimension are then
-evaluated in blocks, each norm taken over the whole block by one stacked SVD.
+are made per trial, each trial's normals by one generator call; the trials of
+a property that share a dimension are then evaluated in blocks, each norm
+taken over the whole block by one stacked Gram eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -143,13 +144,19 @@ def _ice_cream_equivalence(seed, prop, trials, tol):
 def _cstar_identity(seed, prop, trials, tol):
     """||x* x|| = ||x||^2 on generic (not necessarily cone) elements."""
     dim = _trial_dim(trials[0])
-    mats = np.empty((len(trials), dim, dim), dtype=np.complex128)
-    scalars = []
-    rngs = seeded_generators([_trial_seed(seed, prop, t) for t in trials])
-    for i, (t, rng) in enumerate(zip(trials, rngs)):
-        scale = _SCALES[t % len(_SCALES)]
-        mats[i] = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) * scale
-        scalars.append(complex(rng.standard_normal(), rng.standard_normal()) * scale)
+    size = dim * dim
+    # one call per trial: the matrix's real and imaginary parts, then the scalar's
+    normals = np.empty((len(trials), 2 * size + 2))
+    seeds = [_trial_seed(seed, prop, t) for t in trials]
+    for rng, normal in zip(seeded_generators(seeds), normals):
+        rng.standard_normal(out=normal)
+    scales = _trial_scales(trials)
+    mats = (normals[:, :size] + 1j * normals[:, size : 2 * size]) * scales[:, np.newaxis]
+    mats = mats.reshape(len(trials), dim, dim)
+    scalars = [
+        complex(re, im) * scale
+        for (re, im), scale in zip(normals[:, 2 * size :].tolist(), scales.tolist())
+    ]
     norms = spectral_norms(mats).tolist()
     gram_norms = spectral_norms(np.swapaxes(mats.conj(), 1, 2) @ mats).tolist()
     # The scalar arithmetic stays per trial in Python: numpy's vectorized

@@ -1,10 +1,12 @@
 """Tests for the command-line surface: schemas, exit codes, and determinism."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
+from oba_lab import cli
 from oba_lab.cli import main
 
 WITNESS_KEYS = [
@@ -196,11 +198,29 @@ def test_converge_left_gate_passes_at_default_grids(capsys):
     assert json.loads(out)["passed"] is True
 
 
-def test_converge_left_gate_fails_without_norm_excess(capsys):
-    # T_1 = I: the spectrum is {1} but the norm does not exceed 1
-    code, out, _ = run_cli(["converge", "--ns", "1", "--rule", "left", "--no-timestamp"], capsys)
+def test_converge_left_gate_passes_at_n_1(capsys):
+    # T_1 = I: no norm excess and no deviation, the identity side of the dichotomy
+    code, out, _ = run_cli(["converge", "--ns", "1,5", "--rule", "left", "--no-timestamp"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["report"]["rows"][0]["norm_excess"] == doc["report"]["rows"][0]["deviation"] == 0.0
+
+
+def test_converge_left_gate_fails_without_norm_excess(monkeypatch, capsys):
+    """A row that deviates from I with no norm excess breaks the dichotomy."""
+    study = cli.convergence_study
+
+    def no_excess(ns, rule):
+        return [dataclasses.replace(w, norm_excess=0.0) for w in study(ns, rule)]
+
+    monkeypatch.setattr(cli, "convergence_study", no_excess)
+    code, out, _ = run_cli(["converge", "--ns", "5", "--rule", "left", "--no-timestamp"], capsys)
     assert code == 1
-    assert json.loads(out)["passed"] is False
+    doc = json.loads(out)
+    row = doc["report"]["rows"][0]
+    assert row["norm_excess"] == 0.0 and row["deviation"] > 0
+    assert doc["passed"] is False
 
 
 @pytest.mark.parametrize(

@@ -167,15 +167,16 @@ class TestCheckRigidity:
             check_rigidity(a, TOL)
 
     def test_each_norm_is_computed_once(self, monkeypatch):
-        # ||A|| and ||A - I||, one SVD each: the norm clause reads the verdict
+        # ||A|| and ||A - I||, one Gram eigenvalue solve each: the norm clause
+        # reads the verdict (the spectrum clause runs eigvals, not eigvalsh)
         calls = []
-        svd = np.linalg.svd
+        eigvalsh = np.linalg.eigvalsh
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
-            return svd(*args, **kwargs)
+            return eigvalsh(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         check_rigidity(MatrixOperator.identity(8), TOL)
         assert len(calls) == 2
 

@@ -39,6 +39,76 @@ def two_by_two_top_singular(a, b, c, d):
     return math.sqrt((gram_trace + disc) / 2)
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def within_the_stated_bound(norm, svd, dim):
+    """`spectral_norms`' documented forward error, (dim + 1)^2 eps relative, against the SVD."""
+    return abs(norm - svd) <= (dim + 1) ** 2 * EPS * svd
+
+
+def random_matrix(seed, dim, complex_input):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim))
+    return a + 1j * rng.standard_normal((dim, dim)) if complex_input else a
+
+
+class TestGramNorm:
+    """The dense kernel: the top eigenvalue of a Gram matrix scaled by a power of two."""
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+    def test_far_scales_keep_the_range_of_the_svd(self, scale, complex_input):
+        """Unscaled, the Gram matrix overflows to inf at 1e200 and underflows to 0 below 1e-162."""
+        a = random_matrix(7, 5, complex_input) * scale
+        svd = np.linalg.svd(a, compute_uv=False)[0]
+        assert within_the_stated_bound(spectral_norm(a), svd, 5)
+        # a real diagonal comes back exactly: the Gram entries are squares and
+        # sqrt(fl(x * x)) == |x| in binary floating point
+        diagonal = np.diag([3.0, -0.5, 2.0]) * scale
+        assert spectral_norm(diagonal) == np.linalg.svd(diagonal, compute_uv=False)[0]
+        assert spectral_norm(np.eye(4) * scale) == scale
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise_value_error(self, bad, complex_input):
+        a = random_matrix(3, 4, complex_input)
+        if complex_input:
+            a[2, 1] = complex(a[2, 1].real, bad)
+        else:
+            a[2, 1] = bad
+        with pytest.raises(ValueError, match="must be finite for a norm"):
+            spectral_norm(a)
+        stack = np.stack([random_matrix(4, 4, complex_input), a])
+        with pytest.raises(ValueError, match="must be finite for a norm"):
+            spectral_norms(stack)
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_identity_and_zero_are_exact(self, dim):
+        for dtype in (np.float64, np.complex128):
+            assert spectral_norm(np.eye(dim, dtype=dtype)) == 1.0
+            assert spectral_norm(np.zeros((dim, dim), dtype=dtype)) == 0.0
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_within_the_stated_bound_of_the_svd(self, dim, complex_input):
+        stack = np.stack([random_matrix(seed, dim, complex_input) for seed in range(64)])
+        svd = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        for norm, reference in zip(spectral_norms(stack).tolist(), svd.tolist()):
+            assert within_the_stated_bound(norm, reference, dim)
+
+    @pytest.mark.parametrize("dim", [2, 8, 16])
+    def test_stack_is_bitwise_the_one_element_result(self, dim):
+        """Blocks of 1 and 128, the suites' block size, across scales and a zero matrix."""
+        scales = np.resize([1.0, 1e200, 1e-300, 3.5, 0.0], 128)
+        stack = np.stack(
+            [random_matrix(seed, dim, True) * scale for seed, scale in enumerate(scales)]
+        )
+        singles = [spectral_norm(m) for m in stack]
+        assert spectral_norms(stack).tolist() == singles
+        assert [float(spectral_norms(stack[i : i + 1])[0]) for i in range(128)] == singles
+
+
 class TestSpectralNorm:
     def test_normal_diagonal(self):
         assert spectral_norm(MatrixOperator(np.diag([3.0, -4.0]))) == pytest.approx(4.0)
@@ -75,13 +145,14 @@ class TestSpectralNorm:
         assert spectral_norm(h) == pytest.approx(rho, abs=1e-9)
 
     @pytest.mark.parametrize("complex_input", [False, True])
-    def test_dense_norm_is_the_svd_above_512(self, complex_input):
+    def test_dense_norm_is_within_its_bound_of_the_svd_above_512(self, complex_input):
         rng = np.random.default_rng(513)
         a = rng.standard_normal((513, 513))
         if complex_input:
             a = a + 1j * rng.standard_normal((513, 513))
-        assert spectral_norm(a) == np.linalg.svd(a, compute_uv=False)[0]
-        assert spectral_norm(MatrixOperator(a)) == np.linalg.svd(a, compute_uv=False)[0]
+        svd = np.linalg.svd(a, compute_uv=False)[0]
+        assert within_the_stated_bound(spectral_norm(a), svd, 513)
+        assert spectral_norm(MatrixOperator(a)) == spectral_norm(a)
 
     def test_lanczos_path_matches_dense_svd_real(self):
         rng = np.random.default_rng(5)
