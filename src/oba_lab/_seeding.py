@@ -5,8 +5,8 @@ four 64-bit words and seeds PCG64 from them by PCG's set-sequence rule
 (O'Neill 2014).  Building one `SeedSequence` and one `PCG64` per seed costs
 about 15 µs.  Here the hash runs as uint32 array arithmetic across the whole
 block, the PCG set-up as Python 128-bit integers, and one reused generator is
-re-stated for each seed, so its draws are bit for bit those of a fresh
-`default_rng(seed)`.
+re-stated for each seed, so `seeded_draws` returns bit for bit the draws of a
+fresh `default_rng(seed)`.
 
 Seeds of up to four uint32 words (0 <= seed < 2**128) fill the hash pool
 exactly; a shorter seed is its zero-padded form, since a missing entropy word
@@ -17,7 +17,6 @@ mixing rounds and are refused.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -87,7 +86,7 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
         mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
         pool[dst] = mixed ^ (mixed >> _XSHIFT)
     # SeedSequence.generate_state(4, np.uint64): uint32 word i hashes pool word i % 4
-    words = _hashmix(np.tile(pool, (2, 1)), _STATE_XOR, _STATE_MULT)
+    words = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MULT)
     # uint64 j is words 2j (low) and 2j + 1 (high); PCG64 seeds from
     # initstate = (u64[0] << 64) | u64[1] and initseq = (u64[2] << 64) | u64[3]
     u64 = words.T.astype("<u4", order="C").view("<u8")
@@ -100,21 +99,30 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
     return states
 
 
-def seeded_generators(seeds) -> Iterator[np.random.Generator]:
-    """Yield, for each seed in turn, a Generator in the state `default_rng(seed)` starts in.
+def seeded_draws(seeds, normals: int, uniforms: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed's draws: `normals` standard normals, then `uniforms` uniforms on [0, 1).
 
-    One Generator is re-stated for every seed, so draw from each yielded
-    generator before advancing the iterator.  Every seed is validated before
-    the first is yielded: TypeError unless it is an integer, ValueError
-    unless 0 <= seed < 2**128.
+    Row i of the (count, normals) and (count, uniforms) arrays holds what a
+    fresh `default_rng(seeds[i])` returns from one `standard_normal(normals)`
+    call and then one `random(uniforms)` call, bit for bit.  This is the one
+    draw path of every seeded trial.  A generator fills an array element by
+    element, so consecutive parts of a row (say the real, then the imaginary
+    parts of a matrix) are also the draws of consecutive calls, and
+    `low + (high - low) * u` of a uniform u is bitwise `uniform(low, high)`.
+    Every seed is validated before the first draw: TypeError unless it is an
+    integer, ValueError unless 0 <= seed < 2**128.
     """
     states = _pcg64_states(seeds)
+    gauss = np.empty((len(states), normals))
+    unit = np.empty((len(states), uniforms))
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     # the setter copies the values out, so one dict is rewritten for every seed
     full = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     pcg = full["state"]
-    for state, inc in states:
+    for (state, inc), normal, uniform in zip(states, gauss, unit):
         pcg["state"], pcg["inc"] = state, inc
         bitgen.state = full
-        yield rng
+        rng.standard_normal(out=normal)
+        rng.random(out=uniform)
+    return gauss, unit

@@ -12,7 +12,7 @@ from numbers import Number
 
 import numpy as np
 
-from ._seeding import seeded_generators
+from ._seeding import seeded_draws
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
 from .spectral import spectral_norm, spectral_norms
 
@@ -152,13 +152,12 @@ def random_cone_element(seed: int, dim: int, scale: float) -> ProductElement:
 def random_cone_stack(seeds, dim: int, scales) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded random cone members of one dimension, one per seed, as stacked arrays.
 
-    Element i is `random_cone_element(seeds[i], dim, scales[i])` bit for bit:
-    its draws come in the same order from a generator that starts in the
-    state `default_rng(seeds[i])` starts in, one call for its normals and one
-    for its uniforms, and only the norms are taken over the whole stack.
-    `scales` is one scale or one per seed.  Returns the (count, dim, dim)
-    matrix parts, the real scalar parts, and the spectral norm of each matrix
-    part.
+    Element i is `random_cone_element(seeds[i], dim, scales[i])` bit for bit,
+    from the `seeded_draws` row of seeds[i]: 2 dim^2 normals (the real, then
+    the imaginary parts) and two uniforms (the norm, then the scalar
+    fraction).  `scales` is one scale or one per seed.  Returns the
+    (count, dim, dim) matrix parts, the real scalar parts, and the spectral
+    norm of each matrix part.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
@@ -167,13 +166,8 @@ def random_cone_stack(seeds, dim: int, scales) -> tuple[np.ndarray, np.ndarray, 
     bad = ~(np.isfinite(scales) & (scales >= 0))
     if bad.any():
         raise ValueError(f"scale must be finite and nonnegative, got {scales[bad][0]}")
-    # one call per trial draws the real then the imaginary parts: a generator
-    # fills an array element by element, so these are the draws of two calls
-    normals = np.empty((count, 2, dim, dim))
-    fractions = np.empty((count, 2))
-    for rng, normal, fraction in zip(seeded_generators(seeds), normals, fractions):
-        rng.standard_normal(out=normal)
-        rng.random(out=fraction)  # two uniform draws on [0, 1)
+    normals, fractions = seeded_draws(seeds, 2 * dim * dim, 2)
+    normals = normals.reshape(count, 2, dim, dim)
     raw = normals[:, 0] + 1j * normals[:, 1]
     norm_fraction, scalar_fraction = fractions.T
     raw_norms = spectral_norms(raw)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeding import seeded_generators
+from ._seeding import seeded_draws
 from .errors import ComputationError, PreconditionError
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig, _validated_square
 from .spectral import cluster_radius, eigenvalues, spectral_norms
@@ -40,12 +40,11 @@ def random_strict_nilpotent(seed: int, dim: int, scale: float) -> MatrixOperator
 def random_strict_nilpotent_stack(seeds, dim: int, scales) -> np.ndarray:
     """(count, dim, dim) stack: matrix i is `random_strict_nilpotent(seeds[i], dim, scales[i])`.
 
-    Matrix i is drawn from a generator that starts in the state
-    `default_rng(seeds[i])` starts in, by one call for the real then the
-    imaginary parts of its strict upper triangle and one for its peak
-    fraction; the rescaling runs over the whole stack, elementwise, so each
-    matrix is bitwise the one-element case.  `scales` is one scale or one
-    per seed.
+    Matrix i comes from the `seeded_draws` row of seeds[i]: the real, then
+    the imaginary parts of its strict upper triangle, and one uniform for its
+    peak fraction.  The rescaling runs over the whole stack, elementwise, so
+    each matrix is bitwise the one-element case.  `scales` is one scale or
+    one per seed.
     """
     if dim < 2:
         raise ValueError(f"dim must be at least 2 for a nonzero strict triangle, got {dim}")
@@ -55,17 +54,15 @@ def random_strict_nilpotent_stack(seeds, dim: int, scales) -> np.ndarray:
     if bad.any():
         raise ValueError(f"scale must be positive and finite, got {scales[bad][0]}")
     rows, cols = np.triu_indices(dim, 1)
-    normals = np.empty((count, 2, rows.size))
-    peak_fractions = []
-    for rng, normal in zip(seeded_generators(seeds), normals):
-        rng.standard_normal(out=normal)
-        peak_fractions.append(rng.uniform(0.6, 1.0))
-    values = normals[:, 0] + 1j * normals[:, 1]
+    normals, fractions = seeded_draws(seeds, 2 * rows.size, 1)
+    values = normals[:, : rows.size] + 1j * normals[:, rows.size :]
     peaks = np.abs(values).max(axis=1)
     zero = peaks == 0.0  # measure-zero draw; keep the contract anyway
     values[zero, 0] = 1.0
     peaks[zero] = 1.0
-    values *= (np.array(peak_fractions) * scales / peaks)[:, np.newaxis]
+    # bitwise uniform(0.6, 1.0) on the same draw (see `seeded_draws`)
+    peak_fractions = 0.6 + (1.0 - 0.6) * fractions[:, 0]
+    values *= (peak_fractions * scales / peaks)[:, np.newaxis]
     mats = np.zeros((count, dim, dim), dtype=np.complex128)
     mats[:, rows, cols] = values
     return mats
@@ -79,13 +76,10 @@ def random_unitary(seed: int, dim: int) -> MatrixOperator:
 def random_unitary_stack(seeds, dim: int) -> np.ndarray:
     """(count, dim, dim) stack whose matrix i is `random_unitary(seeds[i], dim)`, one stacked QR.
 
-    Matrix i is drawn from a generator that starts in the state
-    `default_rng(seeds[i])` starts in, by one call for the real then the
-    imaginary parts.
+    Matrix i comes from the `seeded_draws` row of seeds[i]: the real, then
+    the imaginary parts.
     """
-    normals = np.empty((len(seeds), 2, dim, dim))
-    for rng, normal in zip(seeded_generators(seeds), normals):
-        rng.standard_normal(out=normal)
+    normals = seeded_draws(seeds, 2 * dim * dim)[0].reshape(-1, 2, dim, dim)
     q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, np.newaxis, :]

@@ -3,10 +3,10 @@
 Each suite is a table of properties, and one engine runs both tables.  Every
 trial derives its own seed from (suite seed, property index, trial index), so
 reports are reproducible run to run and individual failures can be replayed in
-isolation: a trial run alone, as a block of one, gives the same slack.  Draws
-are made per trial, each trial's normals by one generator call; the trials of
-a property that share a dimension are then evaluated in blocks, each norm
-taken over the whole block by one stacked Gram eigenvalue solve.
+isolation: a trial run alone, as a block of one, gives the same slack.  Every
+trial's draws come from its row of `_seeding.seeded_draws`; the trials of a
+property that share a dimension are evaluated in blocks, each norm taken
+over the whole block by one stacked Gram eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeding import seeded_generators
+from ._seeding import seeded_draws
 from .algebra import cone_slack, membership_slack, random_cone_stack, unit_element
 from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
 from .rigidity import (
@@ -145,11 +145,9 @@ def _cstar_identity(seed, prop, trials, tol):
     """||x* x|| = ||x||^2 on generic (not necessarily cone) elements."""
     dim = _trial_dim(trials[0])
     size = dim * dim
-    # one call per trial: the matrix's real and imaginary parts, then the scalar's
-    normals = np.empty((len(trials), 2 * size + 2))
+    # the matrix's real and imaginary parts, then the scalar's
     seeds = [_trial_seed(seed, prop, t) for t in trials]
-    for rng, normal in zip(seeded_generators(seeds), normals):
-        rng.standard_normal(out=normal)
+    normals, _ = seeded_draws(seeds, 2 * size + 2)
     scales = _trial_scales(trials)
     mats = (normals[:, :size] + 1j * normals[:, size : 2 * size]) * scales[:, np.newaxis]
     mats = mats.reshape(len(trials), dim, dim)

@@ -13,7 +13,7 @@ import pytest
 
 from oba_lab import random_cone_element, random_strict_nilpotent, random_unitary
 from oba_lab import algebra, rigidity, suites
-from oba_lab._seeding import _pcg64_states, seeded_generators
+from oba_lab._seeding import _pcg64_states, seeded_draws
 from oba_lab.algebra import random_cone_stack
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 - 1)
@@ -37,13 +37,13 @@ def _default_trial_seeds(seed: int, trials: int) -> set[int]:
 def test_trial_seed_enumeration_matches_the_suites(monkeypatch):
     drawn = set()
 
-    def recording(seeds):
+    def recording(seeds, normals, uniforms=0):
         seeds = list(seeds)
         drawn.update(seeds)
-        return seeded_generators(seeds)
+        return seeded_draws(seeds, normals, uniforms)
 
     for module in (algebra, rigidity, suites):
-        monkeypatch.setattr(module, "seeded_generators", recording)
+        monkeypatch.setattr(module, "seeded_draws", recording)
     suites.run_axiom_suite(trials=70, seed=42)
     suites.run_rigidity_suite(trials=70, seed=42)
     assert drawn == _default_trial_seeds(42, 70)
@@ -60,21 +60,38 @@ def test_states_match_numpy():
         assert (state, inc) == (expected["state"], expected["inc"]), seed
 
 
-def test_restated_draws_match_a_fresh_default_rng():
-    seeds = list(EDGE_SEEDS) + [random.Random(3).getrandbits(63) for _ in range(200)]
-    for seed, rng in zip(seeds, seeded_generators(seeds), strict=True):
+DRAW_SEEDS = list(EDGE_SEEDS) + [random.Random(3).getrandbits(63) for _ in range(200)]
+
+
+@pytest.mark.parametrize(("normals", "uniforms"), [(5, 2), (18, 0), (1, 1)])
+def test_draws_match_a_fresh_default_rng(normals, uniforms):
+    gauss, unit = seeded_draws(DRAW_SEEDS, normals, uniforms)
+    assert gauss.shape == (len(DRAW_SEEDS), normals)
+    assert unit.shape == (len(DRAW_SEEDS), uniforms)
+    for seed, gauss_row, unit_row in zip(DRAW_SEEDS, gauss, unit, strict=True):
         fresh = np.random.default_rng(seed)
-        assert rng.bit_generator.state == fresh.bit_generator.state, seed
-        for draw in (
-            lambda g: g.integers(0, 2**32, dtype=np.uint32),
-            lambda g: g.standard_normal(5),
-            lambda g: g.random(2),
-            lambda g: g.uniform(0.6, 1.0),
-            lambda g: g.standard_normal(),
-        ):
-            assert np.asarray(draw(rng)).tobytes() == np.asarray(draw(fresh)).tobytes(), seed
-        # leave half a 64-bit word buffered: the next seed must not inherit it
-        rng.integers(0, 10, dtype=np.uint32)
+        assert gauss_row.tobytes() == fresh.standard_normal(normals).tobytes(), seed
+        assert unit_row.tobytes() == fresh.random(uniforms).tobytes(), seed
+
+
+def test_affine_uniform_is_generator_uniform():
+    """The nilpotent stack's peak fraction 0.6 + 0.4 u is bitwise `uniform(0.6, 1.0)`."""
+    seeds = DRAW_SEEDS + [random.Random(5).getrandbits(64) for _ in range(2000)]
+    _, unit = seeded_draws(seeds, 4, 1)
+    for seed, u in zip(seeds, unit[:, 0].tolist(), strict=True):
+        fresh = np.random.default_rng(seed)
+        fresh.standard_normal(4)
+        assert 0.6 + (1.0 - 0.6) * u == fresh.uniform(0.6, 1.0), seed
+
+
+def test_a_row_is_the_same_alone_and_in_a_block():
+    """No state carries over from one seed to the next, in either order."""
+    block = seeded_draws(DRAW_SEEDS, 7, 3)
+    backward = seeded_draws(DRAW_SEEDS[::-1], 7, 3)
+    for i, seed in enumerate(DRAW_SEEDS):
+        alone = seeded_draws([seed], 7, 3)
+        for whole, reverse, row in zip(block, backward, alone):
+            assert whole[i].tobytes() == reverse[-1 - i].tobytes() == row[0].tobytes(), seed
 
 
 def test_integer_seed_types_agree():
