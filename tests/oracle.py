@@ -7,6 +7,8 @@ a triangular solve, powers by repeated products), so agreement with them is
 an independent check rather than the closed form checked against itself.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -34,6 +36,46 @@ def resolvent_at_identity(v: MatrixOperator) -> MatrixOperator:
     """T = (I + V)^(-1) for a lower triangular V, by forward substitution."""
     n = v.dim
     return MatrixOperator(solve_triangular(np.eye(n) + v.entries, np.eye(n), lower=True))
+
+
+def witness_pencil(n: int, rule: QuadratureRule, shift: int):
+    """Exact (a, b, alpha, beta) with T_n - shift I = M B^(-1), h = 1/n.
+
+    B = a I - b L and M = alpha I + beta L, L the down-shift, as in
+    `volterra._witness_norm`'s docstring; `test_volterra` checks the
+    factorization against V_n by its definition.
+    """
+    h = Fraction(1, n)
+    left = rule is QuadratureRule.LEFT_ENDPOINT
+    a, b = (Fraction(1), 1 - h) if left else (1 + h / 2, 1 - h / 2)
+    if shift == 0:
+        return a, b, Fraction(1), Fraction(-1)
+    return (a, b, Fraction(0), -h) if left else (a, b, -h / 2, -h / 2)
+
+
+def witness_count_above(n: int, rule: QuadratureRule, shift: int, mu: Fraction):
+    """How many squared singular values of T_n - shift I exceed mu, counted exactly.
+
+    B^(-T) (M^T M - mu B^T B) B^(-1) = (T_n - shift I)^T (T_n - shift I) - mu I,
+    so by Sylvester's law of inertia the count is the number of positive
+    pivots in the LDL^T of the tridiagonal K = M^T M - mu B^T B (Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 3).  K is Toeplitz but for its last
+    diagonal entry, where L^T L drops the 1.  Every entry is rational, so the
+    pivots are exact.  None when a pivot is zero: then a leading block of K is
+    singular, and mu must move.
+    """
+    a, b, alpha, beta = witness_pencil(n, rule, shift)
+    inner = alpha * alpha + beta * beta - mu * (a * a + b * b)
+    last = alpha * alpha - mu * a * a
+    off_squared = (alpha * beta + mu * a * b) ** 2
+    positive, pivot = 0, None
+    for i in range(n):
+        diag = inner if i < n - 1 else last
+        pivot = diag if pivot is None else diag - off_squared / pivot
+        if pivot == 0:
+            return None
+        positive += pivot > 0
+    return positive
 
 
 def dense_norm(a) -> float:

@@ -35,6 +35,8 @@ def _default_trial_seeds(seed: int, trials: int) -> set[int]:
 
 
 def test_trial_seed_enumeration_matches_the_suites(monkeypatch):
+    """The groups run inline, where the recording patch sees them: the same
+    per-group loop a forked worker runs."""
     drawn = set()
 
     def recording(seeds, normals, uniforms=0):
@@ -44,6 +46,7 @@ def test_trial_seed_enumeration_matches_the_suites(monkeypatch):
 
     for module in (algebra, rigidity, suites):
         monkeypatch.setattr(module, "seeded_draws", recording)
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 1)
     suites.run_axiom_suite(trials=70, seed=42)
     suites.run_rigidity_suite(trials=70, seed=42)
     assert drawn == _default_trial_seeds(42, 70)

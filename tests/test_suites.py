@@ -1,6 +1,8 @@
 """Tests for the seeded bulk-trial suite runners."""
 
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,7 @@ from oba_lab import (
     spectral_norm,
     unit_element,
 )
-from oba_lab import suites
+from oba_lab import cli, suites
 from oba_lab.algebra import random_cone_stack
 
 AXIOM_PROPERTIES = {
@@ -313,7 +315,10 @@ def test_suite_memory_is_set_by_the_block_not_the_trial_count(monkeypatch, suite
     because unitary invariance runs trials // 10 trials, whose blocks must be
     full too.  An untraced run first fills the interpreter's free lists, whose
     growth tracemalloc would otherwise count against the larger run.
+    tracemalloc sees this process only, so the groups run inline, through the
+    same per-group loop a worker runs.
     """
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 1)
     monkeypatch.setattr(suites, "_BLOCK", 2)
     counts = [blocks * period * suites._BLOCK for blocks in (2, 4)]
     suite(trials=counts[-1], seed=42)
@@ -327,3 +332,59 @@ def test_suite_memory_is_set_by_the_block_not_the_trial_count(monkeypatch, suite
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
     assert max(peaks) < 256 * 2**10
+
+
+# The suites fork one worker per CPU; `_cpu_count` pins the worker count.
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker pool forks")
+
+
+@forks
+@pytest.mark.parametrize(
+    ("command", "suite", "trials"),
+    [
+        ("axioms", run_axiom_suite, 300),
+        ("axioms", run_axiom_suite, AXIOM_BOUNDARY),
+        ("rigidity", run_rigidity_suite, 300),
+        ("rigidity", run_rigidity_suite, RIGIDITY_BOUNDARY),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_reports_do_not_depend_on_the_worker_count(monkeypatch, command, suite, trials, seed):
+    """One, two and eight workers (more than there are cores) give equal
+    reports and byte-identical output.  At 300 trials every group ends in a
+    partial block; at the boundary counts the first group ends in a block of
+    one."""
+    outcomes = []
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(suites, "_cpu_count", lambda: cpus)
+        report = suite(trials=trials, seed=seed)
+        args = cli._build_parser().parse_args(
+            [command, "--trials", str(trials), "--seed", str(seed), "--no-timestamp"]
+        )
+        outcomes.append((report, cli.render(args, *cli._run_suite(lambda *_: report, args))))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert multiprocessing.active_children() == []
+
+
+class BlockSlackError(Exception):
+    pass
+
+
+@forks
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    """Raised in a worker only, so the test fails if the groups ran inline."""
+    parent = os.getpid()
+    norms = suites.spectral_norms
+
+    def failing(mats):
+        if os.getpid() != parent:
+            raise BlockSlackError(f"no norm for a block of {len(mats)}")
+        return norms(mats)
+
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(suites, "spectral_norms", failing)
+    with pytest.raises(BlockSlackError) as info:
+        run_axiom_suite(trials=3 * len(DIMS), seed=1)
+    assert type(info.value) is BlockSlackError
+    assert str(info.value) == "no norm for a block of 3"
+    assert multiprocessing.active_children() == []
