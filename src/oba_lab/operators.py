@@ -50,8 +50,13 @@ class MatrixOperator:
         """Conjugate transpose."""
         return MatrixOperator(self.entries.conj().T)
 
-    def __array__(self, dtype=None):
-        return self.entries if dtype is None else self.entries.astype(dtype)
+    def __array__(self, dtype=None, copy=None):
+        """The read-only entries, unless a dtype conversion or `copy=True` asks for a copy."""
+        if dtype is None or np.dtype(dtype) == self.entries.dtype:
+            return self.entries.copy() if copy else self.entries
+        if copy is False:
+            raise ValueError(f"converting the entries to {np.dtype(dtype)} needs a copy")
+        return self.entries.astype(dtype)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixOperator):

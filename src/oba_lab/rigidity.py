@@ -79,6 +79,8 @@ def random_unitary_stack(seeds, dim: int) -> np.ndarray:
     Matrix i comes from the `seeded_draws` row of seeds[i]: the real, then
     the imaginary parts.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
     normals = seeded_draws(seeds, 2 * dim * dim)[0].reshape(-1, 2, dim, dim)
     q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -154,21 +154,14 @@ def _cstar_identity(seed, prop, trials, tol):
     scales = _trial_scales(trials)
     mats = (normals[:, :size] + 1j * normals[:, size : 2 * size]) * scales[:, np.newaxis]
     mats = mats.reshape(len(trials), dim, dim)
-    scalars = [
-        complex(re, im) * scale
-        for (re, im), scale in zip(normals[:, 2 * size :].tolist(), scales.tolist())
-    ]
-    norms = spectral_norms(mats).tolist()
-    gram_norms = spectral_norms(np.swapaxes(mats.conj(), 1, 2) @ mats).tolist()
-    # The scalar arithmetic stays per trial in Python: numpy's vectorized
-    # complex product and complex abs round differently in the last bit.
-    slack = []
-    for norm, gram_norm, xi in zip(norms, gram_norms, scalars):
-        top = max(norm, abs(xi))
-        square = top * top  # correctly rounded, unlike ** (libm pow)
-        defect = abs(max(gram_norm, abs(xi.conjugate() * xi)) - square)
-        slack.append(tol.rel_tol * square - defect)
-    return np.array(slack)
+    re, im = normals[:, -2] * scales, normals[:, -1] * scales
+    # |xi| is np.hypot, the modulus Python's abs(complex) takes; np.abs of a
+    # complex array rounds differently in the last bit.  |conj(xi) xi| is
+    # re^2 + im^2 exactly as the complex product forms it.
+    top = np.maximum(spectral_norms(mats), np.hypot(re, im))
+    square = top * top  # correctly rounded, unlike ** (libm pow)
+    gram_norms = spectral_norms(np.swapaxes(mats.conj(), 1, 2) @ mats)
+    return tol.rel_tol * square - np.abs(np.maximum(gram_norms, re * re + im * im) - square)
 
 
 def _unit_membership(seed, prop, trials, tol):
@@ -196,16 +189,21 @@ def _rigidity_family(seed: int, prop: int, trials):
     return dim, nil, np.eye(dim) + nil
 
 
+def _frobenius_norms(stack) -> np.ndarray:
+    """`np.linalg.norm(m, "fro")` of each complex matrix m of the stack, bit for bit."""
+    # That norm adds the dot products of m's real and of its imaginary parts; a
+    # stacked (1, k) @ (k, 1) matmul calls the same dot kernel on the same
+    # strided views, where einsum would sum in another order.
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0, 0])
+
+
 def _trace_bound(seed, prop, trials, tol):
     dim, nil, a = _rigidity_family(seed, prop, trials)
-    # The per-matrix Frobenius norm rounds differently from its vectorized form,
-    # so this arithmetic stays per trial; x * x, unlike ** (libm pow), is
-    # correctly rounded.
-    slack = []
-    for norm, n in zip(spectral_norms(a).tolist(), nil):
-        fro = np.linalg.norm(n, "fro")
-        slack.append(norm * norm - 1.0 - fro * fro / dim + 1e-10)
-    return np.array(slack)
+    norms, fro = spectral_norms(a), _frobenius_norms(nil)
+    # x * x, unlike ** (libm pow), is correctly rounded
+    return norms * norms - 1.0 - fro * fro / dim + 1e-10
 
 
 def _dichotomy(seed, prop, trials, tol):

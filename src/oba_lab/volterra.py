@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +38,20 @@ class QuadratureRule(enum.Enum):
     TRAPEZOID = "trapezoid"
 
 
-def _check_grid(n: int) -> None:
+def _integer(name: str, value) -> int:
+    """`value` as a Python int; a float or other non-integer is a TypeError naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_grid(n) -> int:
+    """The grid size n as a Python int in [1, MAX_GRID]."""
+    n = _integer("grid size n", n)
     if not 1 <= n <= MAX_GRID:
         raise ValueError(f"grid size must be in [1, {MAX_GRID}], got {n}")
+    return n
 
 
 def _resolvent_symbol(n: int, rule: QuadratureRule) -> tuple[float, float]:
@@ -177,7 +189,7 @@ def build_witness(
     Toeplitz products of `_resolvent_matvecs`, about 0.2 s at n = 4096.  The
     spectrum of the triangular T_n is its diagonal c_0 alone.
     """
-    _check_grid(n)
+    n = _check_grid(n)
     # Above n = 512 the capped Lanczos norm_T stays because perfbench/reference.json
     # pins it: the closed form would move it there by up to 3.3e-11, past the
     # 1e-12 floor of perfbench/check.py.  This branch goes once the benchmark
@@ -208,7 +220,7 @@ def convergence_study(
     ns, rule: QuadratureRule, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> list[WitnessReport]:
     """One witness per distinct grid size, ascending."""
-    sizes = sorted(set(int(n) for n in ns))
+    sizes = sorted(set(map(_check_grid, ns)))
     if not sizes:
         raise ValueError("convergence_study needs at least one grid size")
     return [build_witness(n, rule, tol) for n in sizes]
@@ -254,7 +266,7 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     with s the norm of the normalized matrix (`lower_toeplitz_norm`),
     a_k = k exp((log s + top) / k), which neither overflows nor underflows.
     """
-    _check_grid(n)
+    n, k_max = _check_grid(n), _integer("k_max", k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     if k_max >= n:

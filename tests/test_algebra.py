@@ -1,5 +1,7 @@
 """Unit and property tests for the product algebra and its order cone."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,19 @@ class TestConstruction:
         assert not np.shares_memory(op.entries, source)
         source[0, 1] = 7
         assert op.entries[0, 1] != 7
+
+    def test_array_protocol_takes_the_copy_keyword(self):
+        op = MatrixOperator(np.arange(4.0).reshape(2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = np.array(op)
+            assert fresh.flags.writeable and not np.shares_memory(fresh, op.entries)
+            assert np.asarray(op) is op.entries
+            converted = np.asarray(op, dtype=complex)
+            assert converted.dtype == np.complex128 and np.array_equal(converted, op.entries)
+            assert np.array(op, copy=False) is op.entries
+            with pytest.raises(ValueError, match="needs a copy"):
+                np.array(op, dtype=complex, copy=False)
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):

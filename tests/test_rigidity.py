@@ -153,6 +153,13 @@ class TestRandomUnitary:
         u = random_unitary(seed, dim).entries
         assert np.allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_rejects_a_nonpositive_dim(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be positive, got {dim}"):
+            random_unitary(1, dim)
+        with pytest.raises(ValueError, match=f"dim must be positive, got {dim}"):
+            random_unitary_stack([1, 2], dim)
+
 
 class TestCheckRigidity:
     def test_identity_passes(self):

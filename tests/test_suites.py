@@ -26,7 +26,9 @@ from oba_lab import (
     unit_element,
 )
 from oba_lab import cli, suites
+from oba_lab._seeding import seeded_draws
 from oba_lab.algebra import random_cone_stack
+from oba_lab.rigidity import random_strict_nilpotent_stack
 
 AXIOM_PROPERTIES = {
     "additivity",
@@ -302,6 +304,28 @@ def test_cone_stack_mixes_scales_per_element():
         assert x.scalar == complex(scalars[i])
     assert not mats[0].any() and not mats[2].any()
     assert scalars[0] == scalars[2] == norms[0] == norms[2] == 0.0
+
+
+def test_block_arithmetic_is_the_per_trial_arithmetic_bitwise():
+    """The whole-block forms the C*-identity and trace-bound rows rest on.
+
+    |xi| as np.hypot, |conj(xi) xi| as re^2 + im^2, and the stacked-matmul
+    Frobenius norm give bit for bit the per-trial Python and numpy values, at
+    every suite scale and every rigidity dimension.  A numpy or BLAS kernel
+    that changes one of them fails here by name, before the oracle tests fail
+    on a hex mismatch.
+    """
+    scales = np.resize(SCALES, 20_000)
+    normals, _ = seeded_draws(range(len(scales)), 2)
+    re, im = normals[:, 0] * scales, normals[:, 1] * scales
+    xis = [complex(a, b) * s for (a, b), s in zip(normals.tolist(), scales.tolist())]
+    assert np.hypot(re, im).tolist() == [abs(xi) for xi in xis]
+    assert (re * re + im * im).tolist() == [abs(xi.conjugate() * xi) for xi in xis]
+    for dim in RIGIDITY_DIMS:
+        seeds = [_seed(dim, 0, t) for t in range(64)]
+        nil = random_strict_nilpotent_stack(seeds, dim, np.resize(SCALES, len(seeds)))
+        expected = [np.linalg.norm(n, "fro") for n in nil]
+        assert suites._frobenius_norms(nil).tolist() == expected, dim
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,24 @@ class TestVolterraMatrix:
             with pytest.raises(ValueError, match="grid size"):
                 build_witness(bad, QuadratureRule.TRAPEZOID, TOL)
 
+    def test_grid_size_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="grid size n must be an integer, got 2.5"):
+            build_witness(2.5, QuadratureRule.TRAPEZOID, TOL)
+        with pytest.raises(TypeError, match="grid size n must be an integer, got 2.5"):
+            convergence_study([2.5, 3.9], QuadratureRule.TRAPEZOID, TOL)
+        with pytest.raises(TypeError, match="grid size n must be an integer, got 8.0"):
+            growth_diagnostic(8.0, 3)
+        with pytest.raises(TypeError, match="k_max must be an integer, got 3.0"):
+            growth_diagnostic(8, 3.0)
+
+    def test_numpy_integer_grid_sizes_are_stored_as_int(self):
+        w = build_witness(np.int64(4), QuadratureRule.TRAPEZOID, TOL)
+        assert type(w.n) is int and w == build_witness(4, QuadratureRule.TRAPEZOID, TOL)
+        (row,) = convergence_study([np.int64(4)], QuadratureRule.TRAPEZOID, TOL)
+        assert type(row.n) is int and row == w
+        values = growth_diagnostic(np.int64(8), np.int64(3))
+        np.testing.assert_array_equal(values, growth_diagnostic(8, 3))
+
     def test_nilpotency_index_matches_grid(self):
         n = 8
         v = volterra_matrix(n, QuadratureRule.LEFT_ENDPOINT)
