@@ -16,9 +16,9 @@ mixing rounds and are refused.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
+
+from .operators import _integer
 
 # SeedSequence's hash constants, as in numpy/random/bit_generator.pyx
 _INIT_A = 0x43B0D7E5
@@ -61,10 +61,7 @@ def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray
 
 
 def _seed_bytes(seed) -> bytes:
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    value = _integer("seed", seed)
     if not 0 <= value <= _MASK128:
         raise ValueError(f"seed must be an integer in [0, 2**128), got {value}")
     return value.to_bytes(16, "little")

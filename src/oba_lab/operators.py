@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _integer(name: str, value) -> int:
+    """`value` as a Python int; a float or other non-integer is a TypeError naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _validated_square(entries) -> np.ndarray:

@@ -44,9 +44,13 @@ def spectral_norm(a) -> float:
     """Largest singular value of a square matrix, from the top eigenvalue of its Gram matrix.
 
     The one-element case of `spectral_norms`, bitwise, with its error bound
-    and its ValueError for a NaN or infinity.
+    and its ValueError for a NaN or infinity.  Anything but a nonempty square
+    2-D array is a ValueError naming its shape.
     """
-    return float(spectral_norms(np.asarray(a)[np.newaxis])[0])
+    m = np.asarray(a)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    return float(spectral_norms(m[np.newaxis])[0])
 
 
 def spectral_norms(stack) -> np.ndarray:

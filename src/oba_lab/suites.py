@@ -22,7 +22,7 @@ import numpy as np
 
 from ._seeding import seeded_draws
 from .algebra import cone_slack, membership_slack, random_cone_stack, unit_element
-from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
+from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig, _integer
 from .rigidity import (
     random_strict_nilpotent_stack,
     random_unitary_stack,
@@ -69,8 +69,9 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
 
-# A suite table row: the block slack (seed, prop, trials, tol) -> one slack per
-# trial, the trial count of a run of `trials`, and the failure test of a slack.
+# A suite table row: the block slack (seed, prop, trials, dim, tol) -> one slack
+# per trial of a block of dimension `dim`, the trial count of a run of
+# `trials`, and the failure test of a slack.
 _Property = namedtuple("_Property", "name slack count failed", defaults=(lambda n: n, np.less))
 
 
@@ -78,22 +79,18 @@ def _trial_seed(seed: int, prop: int, trial: int) -> int:
     return (seed * 1_000_003 + prop * 65_537 + trial) % (2**63)
 
 
-def _trial_dim(trial: int) -> int:
-    return _DIMS[trial % len(_DIMS)]
-
-
 def _trial_scales(trials) -> np.ndarray:
     return np.array([_SCALES[t % len(_SCALES)] for t in trials])
 
 
-def _cone_stack(seed, prop, trials, stride=1, offset=0):
+def _cone_stack(seed, prop, trials, dim, stride=1, offset=0):
     """Cone members of a block, the one of trial t seeded by trial index stride * t + offset."""
     seeds = [_trial_seed(seed, prop, stride * t + offset) for t in trials]
-    return random_cone_stack(seeds, _trial_dim(trials[0]), _trial_scales(trials))
+    return random_cone_stack(seeds, dim, _trial_scales(trials))
 
 
-def _cone_pair(seed, prop, trials):
-    return _cone_stack(seed, prop, trials, 2, 0), _cone_stack(seed, prop, trials, 2, 1)
+def _cone_pair(seed, prop, trials, dim):
+    return _cone_stack(seed, prop, trials, dim, 2, 0), _cone_stack(seed, prop, trials, dim, 2, 1)
 
 
 def _prod_norms(norms, scalars):
@@ -101,38 +98,38 @@ def _prod_norms(norms, scalars):
     return np.maximum(norms, np.abs(scalars))
 
 
-def _additivity(seed, prop, trials, tol):
-    (xm, xs, _), (ym, ys, _) = _cone_pair(seed, prop, trials)
+def _additivity(seed, prop, trials, dim, tol):
+    (xm, xs, _), (ym, ys, _) = _cone_pair(seed, prop, trials, dim)
     return membership_slack(spectral_norms(xm + ym), xs + ys, tol)
 
 
-def _positive_scaling(seed, prop, trials, tol):
-    xm, xs, _ = _cone_stack(seed, prop, trials)
+def _positive_scaling(seed, prop, trials, dim, tol):
+    xm, xs, _ = _cone_stack(seed, prop, trials, dim)
     lam = np.array([_LAMBDAS[t % len(_LAMBDAS)] for t in trials])
     return membership_slack(spectral_norms(lam[:, np.newaxis, np.newaxis] * xm), lam * xs, tol)
 
 
-def _multiplicativity(seed, prop, trials, tol):
-    (xm, xs, _), (ym, ys, _) = _cone_pair(seed, prop, trials)
+def _multiplicativity(seed, prop, trials, dim, tol):
+    (xm, xs, _), (ym, ys, _) = _cone_pair(seed, prop, trials, dim)
     return membership_slack(spectral_norms(xm @ ym), xs * ys, tol)
 
 
-def _properness(seed, prop, trials, tol):
-    _, xs, xn = _cone_stack(seed, prop, trials)
+def _properness(seed, prop, trials, dim, tol):
+    _, xs, xn = _cone_stack(seed, prop, trials, dim)
     # ||-A|| = ||A||, so -x must miss membership by its real-part slack alone;
     # the test is vacuous at the cone tip
     tip = _prod_norms(xn, xs) <= tol.abs_tol
     return np.where(tip, math.inf, -membership_slack(xn, -xs, tol))
 
 
-def _normality(seed, prop, trials, tol):
-    (xm, xs, xn), (km, ks, _) = _cone_pair(seed, prop, trials)
+def _normality(seed, prop, trials, dim, tol):
+    (xm, xs, xn), (km, ks, _) = _cone_pair(seed, prop, trials, dim)
     # 0 <= x <= x + k by construction; the norm must be monotone with constant 1
     return _prod_norms(spectral_norms(xm + km), xs + ks) + tol.abs_tol - _prod_norms(xn, xs)
 
 
-def _ice_cream_equivalence(seed, prop, trials, tol):
-    _, xs, xn = _cone_stack(seed, prop, trials)
+def _ice_cream_equivalence(seed, prop, trials, dim, tol):
+    _, xs, xn = _cone_stack(seed, prop, trials, dim)
     agrees = np.ones(len(trials), dtype=bool)
     slack = np.full(len(trials), math.inf)
     # x is a cone member, the candidate with scalar ||A|| - 0.5 deliberately is not
@@ -144,9 +141,8 @@ def _ice_cream_equivalence(seed, prop, trials, tol):
     return np.where(agrees, slack, -math.inf)
 
 
-def _cstar_identity(seed, prop, trials, tol):
+def _cstar_identity(seed, prop, trials, dim, tol):
     """||x* x|| = ||x||^2 on generic (not necessarily cone) elements."""
-    dim = _trial_dim(trials[0])
     size = dim * dim
     # the matrix's real and imaginary parts, then the scalar's
     seeds = [_trial_seed(seed, prop, t) for t in trials]
@@ -164,8 +160,8 @@ def _cstar_identity(seed, prop, trials, tol):
     return tol.rel_tol * square - np.abs(np.maximum(gram_norms, re * re + im * im) - square)
 
 
-def _unit_membership(seed, prop, trials, tol):
-    return np.full(len(trials), cone_slack(unit_element(_trial_dim(trials[0])), tol))
+def _unit_membership(seed, prop, trials, dim, tol):
+    return np.full(len(trials), cone_slack(unit_element(dim), tol))
 
 
 _AXIOM_CHECKS = (
@@ -181,12 +177,11 @@ _AXIOM_CHECKS = (
 )
 
 
-def _rigidity_family(seed: int, prop: int, trials):
-    """Dimension, nilpotent parts N and matrices I + N of a block of rigidity trials."""
-    dim = _RIGIDITY_DIMS[trials[0] % len(_RIGIDITY_DIMS)]
+def _rigidity_family(seed: int, prop: int, trials, dim: int):
+    """Nilpotent parts N and matrices I + N of a block of rigidity trials."""
     seeds = [_trial_seed(seed, prop, t) for t in trials]
     nil = random_strict_nilpotent_stack(seeds, dim, _trial_scales(trials))
-    return dim, nil, np.eye(dim) + nil
+    return nil, np.eye(dim) + nil
 
 
 def _frobenius_norms(stack) -> np.ndarray:
@@ -199,28 +194,27 @@ def _frobenius_norms(stack) -> np.ndarray:
     return np.sqrt((re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0, 0])
 
 
-def _trace_bound(seed, prop, trials, tol):
-    dim, nil, a = _rigidity_family(seed, prop, trials)
+def _trace_bound(seed, prop, trials, dim, tol):
+    nil, a = _rigidity_family(seed, prop, trials, dim)
     norms, fro = spectral_norms(a), _frobenius_norms(nil)
     # x * x, unlike ** (libm pow), is correctly rounded
     return norms * norms - 1.0 - fro * fro / dim + 1e-10
 
 
-def _dichotomy(seed, prop, trials, tol):
-    _, _, a = _rigidity_family(seed, prop, trials)
+def _dichotomy(seed, prop, trials, dim, tol):
+    _, a = _rigidity_family(seed, prop, trials, dim)
     norm_excess, deviation = rigidity_gaps(a)
     return np.where(deviation > 0, norm_excess, math.inf)
 
 
-def _identity_gap(seed, prop, trials, tol):
-    """The identity of each trial's dimension: exactly no excess and no deviation."""
-    dim = _RIGIDITY_DIMS[trials[0] % len(_RIGIDITY_DIMS)]
+def _identity_gap(seed, prop, trials, dim, tol):
+    """The identity of the block's dimension: exactly no excess and no deviation."""
     verdict = rigidity_gap(MatrixOperator.identity(dim), tol)
     ok = verdict.is_identity and verdict.norm_excess == 0.0 and verdict.deviation == 0.0
     return np.full(len(trials), 0.0 if ok else -math.inf)
 
 
-def _golden_ratio(seed, prop, trials, tol):
+def _golden_ratio(seed, prop, trials, dim, tol):
     """I + E_12: norm excess the golden ratio minus 1, deviation 1."""
     golden = rigidity_gap(MatrixOperator(np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]])), tol)
     slack = min(
@@ -230,9 +224,9 @@ def _golden_ratio(seed, prop, trials, tol):
     return np.full(len(trials), slack)
 
 
-def _unitary_invariance(seed, prop, trials, tol):
+def _unitary_invariance(seed, prop, trials, dim, tol):
     # seed streams 3 (the family; row 3, golden_ratio, draws none) and 4 (the unitaries)
-    dim, _, a = _rigidity_family(seed, 3, trials)
+    _, a = _rigidity_family(seed, 3, trials, dim)
     u = random_unitary_stack([_trial_seed(seed, 4, t) for t in trials], dim)
     base = rigidity_gaps(a)
     rotated = rigidity_gaps(u @ a @ np.swapaxes(u.conj(), 1, 2))
@@ -263,14 +257,14 @@ def _cpu_count() -> int:
 
 
 def _group_tally(task) -> tuple[int, float]:
-    """Failures and worst slack of one property's trials of one dimension, in blocks of _BLOCK."""
+    """Failures and worst slack of one property's trials of dimension `dims[residue]`, by block."""
     suite, prop, residue, trials, seed, tol = task
     checks, dims = _SUITES[suite]
     _, block_slack, trial_count, failed = checks[prop]
     group = range(residue, trial_count(trials), len(dims))
     failures, worst = 0, math.inf
     for start in range(0, len(group), _BLOCK):
-        slack = block_slack(seed, prop, group[start : start + _BLOCK], tol)
+        slack = block_slack(seed, prop, group[start : start + _BLOCK], dims[residue], tol)
         failures += int(np.count_nonzero(failed(slack, 0)))
         worst = min(worst, float(slack.min()))
     return failures, worst
@@ -292,11 +286,13 @@ def _run_suite(suite: str, trials: int, seed: int, tol) -> SuiteReport:
     """Every property of the suite, its trials grouped by dimension (`trial % len(dims)`).
 
     Suite dimensions cycle with the trial index, so every block of a group
-    shares one dimension and its matrices can be normed as one stack.  The
-    groups run largest dimension first, and their tallies are folded in trial
-    order, so the report is the serial loop's whatever the worker count: even
-    a tie between 0.0 and -0.0 resolves the same way.
+    shares one dimension, which the engine hands to the row, and its matrices
+    can be normed as one stack; `_SUITES` is the one place a suite's dimension
+    cycle lives.  The groups run largest dimension first, and their tallies
+    are folded in trial order, so the report is the serial loop's whatever the
+    worker count: even a tie between 0.0 and -0.0 resolves the same way.
     """
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     checks, dims = _SUITES[suite]

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import membership_slack
-from .operators import DEFAULT_TOLERANCE, ToleranceConfig
+from .operators import DEFAULT_TOLERANCE, ToleranceConfig, _integer
 from .spectral import _gram_lanczos, lower_toeplitz_norm
 
 MAX_GRID = 4096
@@ -36,14 +35,6 @@ MAX_GRID = 4096
 class QuadratureRule(enum.Enum):
     LEFT_ENDPOINT = "left"
     TRAPEZOID = "trapezoid"
-
-
-def _integer(name: str, value) -> int:
-    """`value` as a Python int; a float or other non-integer is a TypeError naming `name`."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_grid(n) -> int:
@@ -188,8 +179,11 @@ def build_witness(
     `norm_T` comes from `spectral._gram_lanczos`, 384 steps on the O(n)
     Toeplitz products of `_resolvent_matvecs`, about 0.2 s at n = 4096.  The
     spectrum of the triangular T_n is its diagonal c_0 alone.
+
+    `rule` is a `QuadratureRule` or its value ("left", "trapezoid"); anything
+    else is a ValueError.
     """
-    n = _check_grid(n)
+    n, rule = _check_grid(n), QuadratureRule(rule)
     # Above n = 512 the capped Lanczos norm_T stays because perfbench/reference.json
     # pins it: the closed form would move it there by up to 3.3e-11, past the
     # 1e-12 floor of perfbench/check.py.  This branch goes once the benchmark

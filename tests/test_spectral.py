@@ -1,6 +1,7 @@
 """Tests for norms, eigenvalue sets, and the spectrum-union law."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,15 @@ class TestGramNorm:
 
 
 class TestSpectralNorm:
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros(3), np.zeros((0, 0)), np.zeros((2, 3)), np.zeros((1, 2, 2))],
+        ids=["1-d", "empty", "non-square", "3-d"],
+    )
+    def test_rejects_anything_but_a_nonempty_square_matrix(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {bad.shape}")):
+            spectral_norm(bad)
+
     def test_normal_diagonal(self):
         assert spectral_norm(MatrixOperator(np.diag([3.0, -4.0]))) == pytest.approx(4.0)
 

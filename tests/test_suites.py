@@ -1,5 +1,6 @@
 """Tests for the seeded bulk-trial suite runners."""
 
+import json
 import math
 import multiprocessing
 import os
@@ -101,6 +102,31 @@ def test_nonpositive_trials_rejected():
         run_axiom_suite(trials=0)
     with pytest.raises(ValueError):
         run_rigidity_suite(trials=-5)
+
+
+@pytest.mark.parametrize(("suite", "seed"), [(run_axiom_suite, 3), (run_rigidity_suite, 0)])
+def test_numpy_integer_seeds_are_accepted(suite, seed):
+    report = suite(trials=3, seed=np.int64(seed))
+    assert type(report.seed) is int and report == suite(trials=3, seed=seed)
+
+
+@pytest.mark.parametrize(
+    ("command", "suite"), [("axioms", run_axiom_suite), ("rigidity", run_rigidity_suite)]
+)
+def test_numpy_integer_trial_counts_are_stored_as_int(command, suite):
+    report = suite(trials=np.int64(3), seed=0)
+    assert type(report.trials) is int and all(type(r.trials) is int for r in report.results)
+    args = cli._build_parser().parse_args([command, "--no-timestamp"])
+    record, *_ = cli._run_suite(lambda *_: report, args)
+    assert json.loads(json.dumps(record))["trials"] == 3
+
+
+@pytest.mark.parametrize("suite", [run_axiom_suite, run_rigidity_suite])
+def test_non_integer_seeds_and_trials_are_named(suite):
+    with pytest.raises(TypeError, match="trials must be an integer, got 2.5"):
+        suite(trials=2.5)
+    with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
+        suite(trials=3, seed=1.5)
 
 
 # The per-trial oracle restates each property from the public API, one trial

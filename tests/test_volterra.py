@@ -90,6 +90,19 @@ class TestVolterraMatrix:
         values = growth_diagnostic(np.int64(8), np.int64(3))
         np.testing.assert_array_equal(values, growth_diagnostic(8, 3))
 
+    def test_rule_values_map_to_their_rule(self):
+        """A rule's value names that rule, for the witness and the study built from it."""
+        for rule in QuadratureRule:
+            w = build_witness(4, rule.value, TOL)
+            assert w.rule is rule and w == build_witness(4, rule, TOL)
+            assert convergence_study([4], rule.value, TOL) == [w]
+
+    def test_unknown_rule_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid QuadratureRule"):
+            build_witness(4, "bogus")
+        with pytest.raises(ValueError, match="'bogus' is not a valid QuadratureRule"):
+            convergence_study([4], "bogus")
+
     def test_nilpotency_index_matches_grid(self):
         n = 8
         v = volterra_matrix(n, QuadratureRule.LEFT_ENDPOINT)
