@@ -31,9 +31,9 @@ _SVD_MAX_DIM = 512
 _LANCZOS_SEED = 0x5EED
 _LANCZOS_MAX_STEPS = 384
 _LANCZOS_TOL = 1e-12
-# Ritz checks at 16, 32, 64, ... steps and once at the end.  A check costs
-# O(k^3) in the dense eigensolver, and the norms taken here either settle within
-# 32 steps or run to the step cap, so checks in between would only cost time.
+# Ritz check steps 16, 32, 64, ...; `_gram_lanczos` states the stop rule.  The
+# norms taken here settle within 32 steps or run to the cap, and a check costs
+# O(k^3) in the dense eigensolver, so checks in between would only cost time.
 _LANCZOS_FIRST_CHECK = 16
 # Reorthogonalize a second time when the first pass leaves less than this
 # fraction of the vector's norm ("twice is enough", Kahan-Parlett).
@@ -122,16 +122,18 @@ def _gram_lanczos(n: int, gram) -> float:
     """Largest singular value of a real n x n operator A, given `gram(x)` = A^T A x for n >= 1.
 
     No matrix is formed: the norm is the square root of the top Ritz value of
-    a Lanczos iteration on A^T A with a seeded start, so equal products give
-    bitwise-equal values.  Each step reorthogonalizes against the whole Krylov
-    basis: one Gram-Schmidt pass, plus a second only when the first cancels
-    most of the new vector.  It stops by min(n, 384) steps: up to dimension
-    384 that may be the whole space, where the Ritz value is the norm up to
-    rounding; above it, a lower bound that approaches the norm from below.
-    Both stop tests are relative, so the result scales with A wherever its
-    Gram products neither overflow nor underflow.  A product with a NaN or
-    infinity raises ValueError.  The callers guarantee n >= 1 and real
-    products.
+    a Lanczos iteration on A^T A with a seeded start and full
+    reorthogonalization, so equal products give bitwise-equal values.  It
+    stops in one of three ways, each taking the top Ritz value once (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 13): at an invariant subspace, where
+    the Ritz value is exact; at a check step (16, 32, ..., 256) whose Ritz
+    value moved by at most `_LANCZOS_TOL` relative since the last check; or
+    at the step cap min(n, 384).  Up to dimension 384 the cap may be the
+    whole space, where the Ritz value is the norm up to rounding; above it, a
+    lower bound that approaches the norm from below.  Both stop tests are
+    relative, so the result scales with A wherever its Gram products neither
+    overflow nor underflow.  A product with a NaN or infinity raises
+    ValueError.  The callers guarantee n >= 1 and real products.
     """
     v = default_rng(_LANCZOS_SEED).standard_normal(n)
     v = v / np.linalg.norm(v)
@@ -143,7 +145,6 @@ def _gram_lanczos(n: int, gram) -> float:
     alphas = np.zeros(steps)
     betas = np.zeros(steps)
     lam = -np.inf
-    lam_count = 0  # the step count at which `lam` was last computed
     check_at = _LANCZOS_FIRST_CHECK
     for j in range(steps):
         basis[j] = v
@@ -171,18 +172,14 @@ def _gram_lanczos(n: int, gram) -> float:
             w = w - (span @ w) @ span
             beta = float(np.linalg.norm(w))
         betas[j] = beta
-        # both stop tests are relative, so the result scales with the operator
-        if beta <= 1e-14 * np.abs(alphas[:count]).max():
-            break  # invariant subspace found; Ritz values are exact for it
-        v = w / beta
-        if count == check_at:
+        # the one stop point, with the one Ritz evaluation (see the docstring)
+        invariant = beta <= 1e-14 * np.abs(alphas[:count]).max()
+        if invariant or count in (check_at, steps):
             lam_prev, lam = lam, _top_ritz(alphas[:count], betas[: count - 1])
-            lam_count = count
-            check_at *= 2
-            if lam - lam_prev <= _LANCZOS_TOL * lam:
+            if invariant or lam - lam_prev <= _LANCZOS_TOL * lam:
                 break
-    if lam_count != count:
-        lam = _top_ritz(alphas[:count], betas[: count - 1])
+            check_at *= 2
+        v = w / beta
     return float(np.sqrt(max(lam, 0.0)))
 
 

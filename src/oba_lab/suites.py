@@ -295,6 +295,8 @@ def _run_suite(suite: str, trials: int, seed: int, tol) -> SuiteReport:
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if not isinstance(tol, ToleranceConfig):
+        raise TypeError(f"tol must be a ToleranceConfig, got {tol!r}")
     checks, dims = _SUITES[suite]
     counts = [check.count(trials) for check in checks]
     tasks = [

@@ -223,6 +223,18 @@ def test_converge_left_gate_fails_without_norm_excess(monkeypatch, capsys):
     assert doc["passed"] is False
 
 
+@pytest.mark.parametrize("rule", ["trapezoid", "left"])
+def test_witness_gate_fails_when_the_tolerance_covers_the_deviation(rule, capsys):
+    """At --abs-tol 1 the tolerance covers T_64's deviation from the unit (about
+    0.44), so T_64 - 1 reads as a cone member, T_64 as above the unit, and the
+    witness gate fails."""
+    argv = ["witness", "--n", "64", "--rule", rule, "--abs-tol", "1", "--no-timestamp"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["report"]["cone_member"] is True and doc["report"]["geq_unit"] is True
+    assert doc["passed"] is False
+
 @pytest.mark.parametrize(
     "argv",
     [

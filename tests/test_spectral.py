@@ -1,5 +1,6 @@
 """Tests for norms, eigenvalue sets, and the spectrum-union law."""
 
+import collections
 import math
 import re
 
@@ -15,6 +16,7 @@ from oba_lab import (
     QuadratureRule,
     cluster_radius,
     eigenvalues,
+    growth_diagnostic,
     lower_toeplitz_norm,
     spectral_norm,
 )
@@ -278,6 +280,19 @@ class TestSpectralNorm:
         expected = eigh_tridiagonal(diag, off, eigvals_only=True)[-1]
         assert spectral._top_ritz(diag, off) == pytest.approx(expected, rel=1e-14, abs=0)
 
+    @pytest.fixture
+    def ritz_sizes(self, monkeypatch):
+        """The tridiagonal size of each `_top_ritz` call, in call order."""
+        seen = []
+        top_ritz = spectral._top_ritz
+
+        def recording(diag, off):
+            seen.append(len(diag))
+            return top_ritz(diag, off)
+
+        monkeypatch.setattr(spectral, "_top_ritz", recording)
+        return seen
+
     @pytest.mark.parametrize(
         "n, sizes",
         [
@@ -287,20 +302,49 @@ class TestSpectralNorm:
         ],
         ids=["512", "513", "600"],
     )
-    def test_ritz_checks_double(self, n, sizes, monkeypatch):
+    def test_ritz_checks_double(self, n, sizes, ritz_sizes):
         """The left witness's `norm_T` runs to its step cap: checks at 16, 32,
         ..., 256 and once more at the cap, min(n, 384) steps."""
-        seen = []
-        top_ritz = spectral._top_ritz
-
-        def recording(diag, off):
-            seen.append(len(diag))
-            return top_ritz(diag, off)
-
-        monkeypatch.setattr(spectral, "_top_ritz", recording)
         matvec, rmatvec = _resolvent_matvecs(n, QuadratureRule.LEFT_ENDPOINT)
         spectral._gram_lanczos(n, lambda x: rmatvec(matvec(x)))
-        assert seen == sizes
+        assert ritz_sizes == sizes
+
+    def test_each_way_to_stop_takes_the_ritz_value_once(self, ritz_sizes):
+        """One `_top_ritz` call per check step, plus one where the loop stops
+        unless it stops at a check: at the cap, at an invariant subspace or on
+        a settled Ritz value."""
+
+        def sizes(n, gram):
+            ritz_sizes.clear()
+            spectral._gram_lanczos(n, gram)
+            return list(ritz_sizes)
+
+        rng = np.random.default_rng(1)
+        dense5 = rng.standard_normal((5, 5))
+        # the cap is the whole space, before the first check
+        assert sizes(5, lambda x: dense5.T @ (dense5 @ x)) == [5]
+        # the cap comes after one check
+        matvec, rmatvec = _resolvent_matvecs(20, QuadratureRule.LEFT_ENDPOINT)
+        assert sizes(20, lambda x: rmatvec(matvec(x))) == [16, 20]
+        # an invariant subspace before the first check
+        rank2 = rng.standard_normal((100, 2)) @ rng.standard_normal((2, 100))
+        assert sizes(100, lambda x: rank2.T @ (rank2 @ x)) == [3]
+        # two checks, then the cap
+        dense40 = rng.standard_normal((40, 40))
+        assert sizes(40, lambda x: dense40.T @ (dense40 @ x)) == [16, 32, 40]
+        # a top singular value ten times the rest settles by the first check,
+        # so the second stops the loop
+        diag = np.append(np.linspace(0.0, 1.0, 99), 10.0)
+        assert sizes(100, lambda x: diag * diag * x) == [16, 32]
+
+    def test_growth_norms_take_the_ritz_value_once_per_stop(self, ritz_sizes):
+        """Of the 64 norms at 256/64, 60 stop at an invariant subspace by 30
+        steps and 4 settle at the check at 32: one evaluation per check, plus
+        one where a norm stops between checks."""
+        growth_diagnostic(256, 64)
+        assert collections.Counter(ritz_sizes) == {
+            5: 31, 6: 13, 7: 8, 8: 1, 9: 1, 10: 1, 11: 2, 14: 1, 16: 6, 19: 1, 30: 1, 32: 4
+        }
 
     @pytest.mark.parametrize("dim", [2, 16, 513])
     def test_stacked_norms_are_the_per_matrix_norms_bitwise(self, dim):

@@ -129,6 +129,16 @@ def test_non_integer_seeds_and_trials_are_named(suite):
         suite(trials=3, seed=1.5)
 
 
+@pytest.mark.parametrize("suite", [run_axiom_suite, run_rigidity_suite])
+def test_a_bare_float_tolerance_is_named_before_any_group_runs(suite, monkeypatch):
+    def no_tally(tasks):
+        raise AssertionError("a group ran before tol was checked")
+
+    monkeypatch.setattr(suites, "_tally_groups", no_tally)
+    with pytest.raises(TypeError, match="tol must be a ToleranceConfig, got 1e-06"):
+        suite(trials=3, tol=1e-6)
+
+
 # The per-trial oracle restates each property from the public API, one trial
 # at a time, with the suite's trial recipe: trial t of property p draws from
 # seed (suite_seed * 1_000_003 + p * 65_537 + t) % 2**63, with dimension
