@@ -69,7 +69,7 @@ def test_converge_csv_schema(capsys):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "16"
-    assert float(first[2]) <= 1 + 1e-10
+    assert float(first[2]) <= 1.0
 
 
 def test_converge_rows_sorted_and_deduplicated(capsys):
@@ -87,6 +87,19 @@ def test_axioms_small_run_passes(capsys):
     names = {p["name"] for p in doc["report"]["properties"]}
     assert "additivity" in names and "cstar_identity" in names
     assert all(p["failures"] == 0 for p in doc["report"]["properties"])
+
+
+def test_axioms_gate_fails_at_zero_relative_tolerance(capsys):
+    """--rel-tol reaches the suite: with no relative slack, the C*-identity
+    ||a* a|| = ||a||^2 fails on rounding alone.  The failure count moves with
+    the BLAS kernel, so only its sign is pinned."""
+    argv = ["axioms", "--trials", "50", "--rel-tol", "0", "--no-timestamp"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["report"]["rel_tol"] == 0.0
+    assert sum(p["failures"] for p in doc["report"]["properties"]) > 0
+    assert doc["passed"] is False
 
 
 def test_rigidity_small_run_passes(capsys):
@@ -220,6 +233,28 @@ def test_converge_left_gate_fails_without_norm_excess(monkeypatch, capsys):
     doc = json.loads(out)
     row = doc["report"]["rows"][0]
     assert row["norm_excess"] == 0.0 and row["deviation"] > 0
+    assert doc["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "norm_T",
+    [1.0 + 2.0**-40, 1.0 / (1.0 + 1 / 128) * (1 - 2.0**-40)],
+    ids=["above_one", "below_the_spectral_radius"],
+)
+def test_converge_trapezoid_gate_fails_outside_the_sandwich(norm_T, monkeypatch, capsys):
+    """Accretivity gives 1/(1 + h/2) <= ||T_n|| <= 1 with no slop: a norm a
+    hair outside either end fails the gate (n = 64, h/2 = 1/128)."""
+    study = cli.convergence_study
+
+    def moved(ns, rule):
+        return [dataclasses.replace(w, norm_T=norm_T) for w in study(ns, rule)]
+
+    monkeypatch.setattr(cli, "convergence_study", moved)
+    argv = ["converge", "--ns", "64", "--rule", "trapezoid", "--no-timestamp"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["report"]["rows"][0]["norm_T"] == norm_T
     assert doc["passed"] is False
 
 

@@ -46,6 +46,7 @@ CASES = {
     "growth-64-16.csv": (["growth", "--n", "64", "--k-max", "16", "--format", "csv"], 0),
     "growth-600-8.json": (["growth", "--n", "600", "--k-max", "8"], 0),
     "growth-1024-256.json": (["growth", "--n", "1024", "--k-max", "256"], 0),
+    "witness-64-left.csv": (["witness", "--n", "64", "--rule", "left", "--format", "csv"], 0),
     "witness-1-left.json": (["witness", "--n", "1", "--rule", "left"], 1),
     "growth-8-7.json": (["growth", "--n", "8", "--k-max", "7"], 1),
 }

@@ -121,6 +121,25 @@ def test_numpy_integer_trial_counts_are_stored_as_int(command, suite):
     assert json.loads(json.dumps(record))["trials"] == 3
 
 
+@pytest.mark.parametrize("slack", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_worst_slack_is_an_empty_csv_cell_and_json_null(slack):
+    report = suites.SuiteReport("axioms", 42, 3, 1e-9, 1e-9, (
+        suites.PropertyResult("additivity", 3, 0, 1e-9),
+        suites.PropertyResult("cstar_identity", 3, 1, slack),
+    ))
+    text = {}
+    for fmt in ("json", "csv"):
+        args = cli._build_parser().parse_args(["axioms", "--format", fmt, "--no-timestamp"])
+        text[fmt] = cli.render(args, *cli._run_suite(lambda *_: report, args))
+    properties = json.loads(text["json"])["report"]["properties"]
+    assert [p["worst_slack"] for p in properties] == [1e-9, None]
+    assert text["csv"] == (
+        "name,trials,failures,worst_slack,passed\n"
+        "additivity,3,0,1e-09,true\n"
+        "cstar_identity,3,1,,false\n"
+    )
+
+
 @pytest.mark.parametrize("suite", [run_axiom_suite, run_rigidity_suite])
 def test_non_integer_seeds_and_trials_are_named(suite):
     with pytest.raises(TypeError, match="trials must be an integer, got 2.5"):

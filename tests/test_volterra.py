@@ -430,9 +430,15 @@ class TestConvergence:
 
 
 class TestGrowthDiagnostic:
-    def test_first_term_is_deviation_norm(self):
-        values = growth_diagnostic(2, 1)
-        assert values[0] == pytest.approx(0.5, abs=1e-15)
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 256, 600, 1024, 4096])
+    def test_first_term_is_deviation_norm(self, n):
+        """a_1 = ||T_n - I|| under the left rule: the witness deviation's closed form.
+
+        Measured within 3 ulps at these sizes.  Adding k log h to the column's
+        lgamma terms before they cancel reads 428 and 921 ulps high at
+        n = 1024 and 4096."""
+        deviation = volterra._witness_norm(n, QuadratureRule.LEFT_ENDPOINT, 1.0)
+        assert abs(growth_diagnostic(n, 1)[0] - deviation) <= 8 * math.ulp(deviation)
 
     def test_rejects_k_max_at_grid_size(self):
         with pytest.raises(ValueError):
