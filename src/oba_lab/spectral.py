@@ -6,12 +6,14 @@ eigensolve for the whole stack.  Each matrix is first scaled by the power of
 two of its largest real or imaginary part, which is exact and keeps the Gram
 matrix clear of overflow and underflow at any finite scale.  Operators given
 only by their action, lower-triangular Toeplitz matrices among them, are
-normed by Lanczos of at most min(n, 384) steps at every dimension n.
+normed by Lanczos of at most min(n, 384) steps at every dimension n, in
+stacks: one lockstep iteration takes the norms of many operators, one
+stacked BLAS, FFT or LAPACK call per step for the whole stack, and gives each
+the bits it gets alone.  Where the stack is many short runs, as for the
+`growth` powers, that saves the per-call cost that sets their time.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,6 +40,12 @@ _LANCZOS_FIRST_CHECK = 16
 # Reorthogonalize a second time when the first pass leaves less than this
 # fraction of the vector's norm ("twice is enough", Kahan-Parlett).
 _REORTH_GUARD = 2**-0.5
+# The basis starts with room for 16 steps and doubles, for the rows still
+# running, up to 64 steps; a row past 64 steps gets room for the cap at once.
+# Every `growth` norm stops by step 32, and the witness's norm_T above n = 512
+# runs to the cap, where doubling on to 128 and 256 would copy its basis twice
+# more (about 10% of its time at n = 4096, measured on 2 vCPUs).
+_LANCZOS_DOUBLE_UNTIL = 64
 
 
 def spectral_norm(a) -> float:
@@ -93,11 +101,9 @@ def spectral_norms(stack) -> np.ndarray:
 def lower_toeplitz_norm(column) -> float:
     """Largest singular value of the real lower-triangular Toeplitz matrix with this first column.
 
-    The matrix is never formed, at any dimension: the products with it and its
-    transpose are FFT convolution and correlation at the first power of two of
-    at least 2n - 1, so no wraparound occurs, and `_gram_lanczos` takes the
-    norm from them, in O(n log n) time per step and O(n) memory per basis
-    vector.  The column must be finite.
+    The one-column case of `_lower_toeplitz_norms`, bitwise.  The matrix is
+    never formed, at any dimension.  The column must be a nonempty real vector
+    of finite entries.
     """
     col = np.asarray(column)
     if col.ndim != 1 or col.size < 1 or np.iscomplexobj(col):
@@ -106,87 +112,164 @@ def lower_toeplitz_norm(column) -> float:
         )
     if not np.isfinite(col).all():
         raise ValueError("a Toeplitz column must have finite entries, got a NaN or infinity")
-    n = col.size
+    return float(_lower_toeplitz_norms(col[np.newaxis])[0])
+
+
+def _lower_toeplitz_norms(columns: np.ndarray) -> np.ndarray:
+    """Norms of the lower-triangular Toeplitz matrices whose first columns are the rows of a block.
+
+    `columns` is a (count, n) block of real, finite rows.  The products with
+    each matrix and its transpose are row-wise FFT convolution and correlation
+    at the first power of two of at least 2n - 1, so no wraparound occurs, and
+    one `_gram_lanczos` stack takes every norm from them, in O(count n log n)
+    time per step.  Each row's norm is bitwise the one it gets as a block of
+    one.  The caller sets the stack size by the memory it allows: the stack's
+    basis holds count n entries per step.
+    """
+    count, n = columns.shape
     # numpy.fft, not scipy.fft: the runtime depends on numpy only
     size = 1 << (2 * n - 2).bit_length()
-    symbol = rfft(col, size)
-    symbol_conj = symbol.conj()
+    symbols = rfft(columns, size)
+    conjugates = symbols.conj()
 
-    def product(spectrum, x):
-        return irfft(spectrum * rfft(x, size), size)[:n]
+    def product(spectra, x):
+        # named, so numpy never multiplies into the transform in place: its
+        # in-place complex product (taken for temporaries of 256 KiB and up)
+        # rounds differently, which would tie a row's bits to its stack's size
+        transform = rfft(x, size)
+        return irfft(spectra * transform, size)[:, :n]
 
-    return _gram_lanczos(n, lambda x: product(symbol_conj, product(symbol, x)))
+    return _gram_lanczos(
+        n, count, lambda rows, x: product(conjugates[rows], product(symbols[rows], x))
+    )
 
 
-def _gram_lanczos(n: int, gram) -> float:
-    """Largest singular value of a real n x n operator A, given `gram(x)` = A^T A x for n >= 1.
+def _gram_lanczos(n: int, count: int, gram) -> np.ndarray:
+    """Largest singular values of `count` real n x n operators A_i, from their Gram products.
 
-    No matrix is formed: the norm is the square root of the top Ritz value of
-    a Lanczos iteration on A^T A with a seeded start and full
-    reorthogonalization, so equal products give bitwise-equal values.  It
-    stops in one of three ways, each taking the top Ritz value once (Parlett,
-    The Symmetric Eigenvalue Problem, ch. 13): at an invariant subspace, where
-    the Ritz value is exact; at a check step (16, 32, ..., 256) whose Ritz
-    value moved by at most `_LANCZOS_TOL` relative since the last check; or
-    at the step cap min(n, 384).  Up to dimension 384 the cap may be the
-    whole space, where the Ritz value is the norm up to rounding; above it, a
-    lower bound that approaches the norm from below.  Both stop tests are
+    `gram(rows, x)` returns the block whose row r is A_i^T A_i x_r, with i =
+    rows[r]: `rows` holds the indices, ascending, of the operators still
+    running, and x one vector per running operator.  No matrix is formed: each
+    norm is the square root of the top Ritz value of a Lanczos iteration on
+    A_i^T A_i with a seeded start, shared by every row, and full
+    reorthogonalization.  The iterations run in lockstep, one stacked call per
+    product, dot product, projection and Ritz check, and each row's arithmetic
+    is the same BLAS, FFT and LAPACK calls it makes alone: every norm is
+    bitwise its value as a block of one, and equal products give equal values.
+
+    Each row stops in one of three ways, taking its top Ritz value once at the
+    stop (Parlett, The Symmetric Eigenvalue Problem, ch. 13): at an invariant
+    subspace, where the Ritz value is exact; at a check step (16, 32, ..., 256)
+    whose Ritz value moved by at most `_LANCZOS_TOL` relative since the last
+    check; or at the step cap min(n, 384).  Up to dimension 384 the cap may be
+    the whole space, where the Ritz value is the norm up to rounding; above it,
+    a lower bound that approaches the norm from below.  Both stop tests are
     relative, so the result scales with A wherever its Gram products neither
-    overflow nor underflow.  A product with a NaN or infinity raises
-    ValueError.  The callers guarantee n >= 1 and real products.
+    overflow nor underflow.
+
+    A stopped row leaves the stack.  The basis is one (rows, capacity, n)
+    block: room for 16 steps, doubled for the rows still running up to 64 and
+    then widened to the cap (see `_LANCZOS_DOUBLE_UNTIL`), so a stack of rows
+    that stop early never holds the 384-step basis.  A product with a NaN or
+    infinity raises ValueError, naming the step.  The callers guarantee
+    n >= 1, count >= 1 and real products.
     """
-    v = default_rng(_LANCZOS_SEED).standard_normal(n)
-    v = v / np.linalg.norm(v)
+    start = default_rng(_LANCZOS_SEED).standard_normal(n)
+    v = np.tile(start / np.linalg.norm(start), (count, 1))
 
     steps = min(n, _LANCZOS_MAX_STEPS)
-    # one Lanczos vector per row, so each projection reads one block; row j is
-    # written before any read, so the basis needs no zeroing
-    basis = np.empty((steps, n))
-    alphas = np.zeros(steps)
-    betas = np.zeros(steps)
-    lam = -np.inf
+    rows = np.arange(count)
+    norms = np.empty(count)
+    # each operator's Lanczos vectors are consecutive rows of its slab, so each
+    # projection reads one block; row j is written before any read, so no zeroing
+    basis = np.empty((count, min(steps, _LANCZOS_FIRST_CHECK), n))
+    alphas = np.empty((count, steps))
+    betas = np.empty((count, steps))
+    # the largest |alpha| so far: the scale of the invariant-subspace test
+    peak = np.zeros(count)
+    lam = np.full(count, -np.inf)
     check_at = _LANCZOS_FIRST_CHECK
     for j in range(steps):
-        basis[j] = v
-        w = gram(v)
-        alpha = float(v @ w)
-        count = j + 1
-        # a NaN or infinity anywhere in the product reaches alpha
-        if not math.isfinite(alpha):
+        if j == basis.shape[1]:
+            room = min(2 * j, steps) if j < _LANCZOS_DOUBLE_UNTIL else steps
+            grown = np.empty((len(rows), room, n))
+            grown[:, :j] = basis
+            basis = grown
+        basis[:, j] = v
+        w = gram(rows, v)
+        alpha = _dots(v, w)
+        step = j + 1
+        # a NaN or infinity anywhere in a product reaches its alpha
+        if not all(np.isfinite(alpha)):
             raise ValueError(
-                f"the norm needs finite products, got a NaN or infinity at Lanczos step {count}"
+                f"the norm needs finite products, got a NaN or infinity at Lanczos step {step}"
             )
-        alphas[j] = alpha
-        w = w - alpha * v
+        alphas[:, j] = alpha
+        w = w - alpha[:, np.newaxis] * v
         if j > 0:
-            w = w - betas[j - 1] * basis[j - 1]
+            w = w - betas[:, j - 1, np.newaxis] * basis[:, j - 1]
         # Full reorthogonalization keeps the Ritz values trustworthy: one classical
-        # Gram-Schmidt pass, and a second only if the first cancels most of w.  The
-        # reference norm is taken after the three-term recurrence; taken before it,
-        # the guard would fire on nearly every step.
-        span = basis[:count]
-        recurrence_norm = np.linalg.norm(w)
-        w = w - (span @ w) @ span
-        beta = float(np.linalg.norm(w))
-        if beta < _REORTH_GUARD * recurrence_norm:
-            w = w - (span @ w) @ span
-            beta = float(np.linalg.norm(w))
-        betas[j] = beta
-        # the one stop point, with the one Ritz evaluation (see the docstring)
-        invariant = beta <= 1e-14 * np.abs(alphas[:count]).max()
-        if invariant or count in (check_at, steps):
-            lam_prev, lam = lam, _top_ritz(alphas[:count], betas[: count - 1])
-            if invariant or lam - lam_prev <= _LANCZOS_TOL * lam:
-                break
-            check_at *= 2
-        v = w / beta
-    return float(np.sqrt(max(lam, 0.0)))
+        # Gram-Schmidt pass, and a second only where the first cancels most of w.
+        # The reference norm is taken after the three-term recurrence; taken before
+        # it, the guard would fire on nearly every step.
+        span = basis[:, :step]
+        recurrence_norm = np.sqrt(_dots(w, w))
+        w = w - _projection(span, w)
+        beta = np.sqrt(_dots(w, w))
+        again = beta < _REORTH_GUARD * recurrence_norm
+        if any(again):
+            w[again] -= _projection(span[again], w[again])
+            beta[again] = np.sqrt(_dots(w[again], w[again]))
+        betas[:, j] = beta
+        np.maximum(peak, np.abs(alpha), out=peak)
+        # the one stop point, with the one Ritz evaluation per stop or check
+        invariant = beta <= 1e-14 * peak
+        checked = step in (check_at, steps)
+        if checked or any(invariant):
+            ritz = slice(None) if checked else invariant
+            top = _top_ritz(alphas[ritz, :step], betas[ritz, : step - 1])
+            settled = top - lam[ritz] <= _LANCZOS_TOL * top
+            lam[ritz] = top
+            # a check stops the rows it finds settled, and the cap stops every
+            # row; between checks only the invariant rows are evaluated
+            stop = invariant | settled | (step == steps) if checked else invariant
+            if checked:
+                check_at *= 2
+            if stop.any():
+                norms[rows[stop]] = np.sqrt(np.maximum(lam[stop], 0.0))
+                if stop.all():
+                    break
+                keep = ~stop
+                rows, basis, alphas, betas = rows[keep], basis[keep], alphas[keep], betas[keep]
+                peak, lam, w, beta = peak[keep], lam[keep], w[keep], beta[keep]
+        v = w / beta[:, np.newaxis]
+    return norms
 
 
-def _top_ritz(diag: np.ndarray, off: np.ndarray) -> float:
-    # eigvalsh reads only the lower triangle: an off-diagonal placed above the
-    # diagonal would be ignored without any error
-    return float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))[-1])
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_r . y_r for each row r, the BLAS dot that a 1-D `x @ y` takes."""
+    return np.matmul(x[:, np.newaxis, :], y[:, :, np.newaxis])[:, 0, 0]
+
+
+def _projection(span: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(S_r @ w_r) @ S_r for each row r: the two BLAS gemv calls that a 2-D S_r takes."""
+    coefficients = np.matmul(span, w[:, :, np.newaxis]).swapaxes(1, 2)
+    return np.matmul(coefficients, span)[:, 0]
+
+
+def _top_ritz(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each symmetric tridiagonal of a stack, one stacked `eigvalsh`.
+
+    `diag` is (count, k) and `off` (count, k - 1).  eigvalsh reads only the
+    lower triangle: an off-diagonal placed above the diagonal would be
+    ignored without any error.
+    """
+    count, k = diag.shape
+    tridiagonal = np.zeros((count, k, k))
+    i = np.arange(k)
+    tridiagonal[:, i, i] = diag
+    tridiagonal[:, i[1:], i[:-1]] = off
+    return np.linalg.eigvalsh(tridiagonal)[:, -1]
 
 
 def _is_triangular(m: np.ndarray) -> bool:

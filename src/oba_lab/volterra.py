@@ -14,7 +14,8 @@ lower-triangular Toeplitz with a closed-form first column.  The witness's
 n, about 0.5 ms on 2 vCPUs, and so is ||T_n|| up to n = 512.  Above that
 ||T_n|| is a Lanczos iteration of min(n, 384) steps on O(n) products with
 T_n, about 0.2 s at n = 4096, kept because the benchmark reference pins it.
-`growth` norms the closed-form column of (T_n - I)^k.
+`growth` norms the closed-form columns of (T_n - I)^k, many powers per
+Lanczos stack.
 """
 
 from __future__ import annotations
@@ -27,9 +28,15 @@ import numpy as np
 
 from .algebra import membership_slack
 from .operators import DEFAULT_TOLERANCE, ToleranceConfig, _integer
-from .spectral import _gram_lanczos, lower_toeplitz_norm
+from .spectral import _gram_lanczos, _lower_toeplitz_norms
 
 MAX_GRID = 4096
+# Entries per stack of `growth` columns: the powers are normed max(1, 4096 // n)
+# at a time, 16 at n = 256, 4 at 1024 and 1 at 4096.  A stack's Lanczos basis
+# holds this many entries per step, so its memory is that of one column at
+# n = 4096.  On 2 vCPUs, twice the budget took 1024/256 from 0.095 to 0.088 s
+# but raised the `growth` benchmark's peak RSS by 9% instead of 4.5%.
+_STACK_ELEMENTS = 4096
 
 
 class QuadratureRule(enum.Enum):
@@ -176,9 +183,9 @@ def build_witness(
     No V_n is formed and no system solved.  `deviation` is the closed form of
     `_witness_norm` at every n, within 2e-15 relative of the dense SVD, at
     about 0.5 ms on 2 vCPUs, and so is `norm_T` up to n = 512.  Above it
-    `norm_T` comes from `spectral._gram_lanczos`, 384 steps on the O(n)
-    Toeplitz products of `_resolvent_matvecs`, about 0.2 s at n = 4096.  The
-    spectrum of the triangular T_n is its diagonal c_0 alone.
+    `norm_T` comes from `spectral._gram_lanczos` as a block of one, 384 steps
+    on the O(n) Toeplitz products of `_resolvent_matvecs`, about 0.2 s at
+    n = 4096.  The spectrum of the triangular T_n is its diagonal c_0 alone.
 
     `rule` is a `QuadratureRule` or its value ("left", "trapezoid"); anything
     else is a ValueError.
@@ -192,7 +199,11 @@ def build_witness(
         norm_t = _witness_norm(n, rule, 0.0)
     else:
         matvec, rmatvec = _resolvent_matvecs(n, rule)
-        norm_t = _gram_lanczos(n, lambda x: rmatvec(matvec(x)))
+
+        def gram(rows, x):  # a block of one, from the 1-D products
+            return rmatvec(matvec(x[0]))[np.newaxis]
+
+        norm_t = float(_gram_lanczos(n, 1, gram)[0])
     deviation = _witness_norm(n, rule, 1.0)
     radius = abs(1.0 / _resolvent_symbol(n, rule)[0] - 1.0)
     xi = max(1.0, norm_t)
@@ -257,8 +268,16 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     column is built in log space, with lgamma = log Gamma, summed in this order,
     log|c_m| = lgamma(m) - lgamma(m - k + 1) - lgamma(k) + (k log h + (m - k) log1p(-h)),
     and divided by its largest entry exp(top) so that its maximum is 1; then
-    with s the norm of the normalized matrix (`lower_toeplitz_norm`),
-    a_k = k exp((log s + top) / k), which neither overflows nor underflows.
+    with s the norm of the normalized matrix, a_k = k exp((log s + top) / k),
+    which neither overflows nor underflows.
+
+    The columns are normed max(1, 4096 // n) at a time (`_STACK_ELEMENTS`), as
+    one lockstep Lanczos stack (`spectral._lower_toeplitz_norms`).  Most
+    powers stop within 4 to 7 steps, so one norm at a time pays the
+    per-call cost of each step, not its arithmetic; a stack pays it once for
+    all its columns, and gives each s bitwise its `lower_toeplitz_norm`.  The
+    budget keeps a stack's Lanczos vectors at 4096 entries per step, the size
+    of one vector at n = 4096.
     """
     n, k_max = _check_grid(n), _integer("k_max", k_max)
     if k_max < 1:
@@ -270,20 +289,24 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     # log_fact[m] = lgamma(m) = log (m - 1)!, index 0 unused.  math.lgamma, not
     # scipy.special.gammaln: the runtime depends on numpy only.
     log_fact = np.array([math.inf] + [math.lgamma(m) for m in range(1, n)])
-    column = np.zeros(n)
     out = np.zeros(k_max)
-    for k in range(1, k_max + 1):
-        # rows m = k..n-1, so m - k + 1 runs over 1..n-k
-        # the two large lgamma terms (about 6000 at n = 1024) cancel before the
-        # small ones are added: added to k log h first, they err by up to 1e-12
-        log_c = (
-            log_fact[k:]
-            - log_fact[1 : n - k + 1]
-            - log_fact[k]
-            + (k * log_h + np.arange(n - k) * log_q)
-        )
-        top = log_c.max()
-        column[:k] = 0.0
-        column[k:] = np.exp(log_c - top)
-        out[k - 1] = k * np.exp((np.log(lower_toeplitz_norm(column)) + top) / k)
+    stack = max(1, _STACK_ELEMENTS // n)
+    for first in range(1, k_max + 1, stack):
+        ks = range(first, min(first + stack, k_max + 1))
+        columns = np.zeros((len(ks), n))
+        tops = []
+        for column, k in zip(columns, ks):
+            # rows m = k..n-1, so m - k + 1 runs over 1..n-k
+            # the two large lgamma terms (about 6000 at n = 1024) cancel before the
+            # small ones are added: added to k log h first, they err by up to 1e-12
+            log_c = (
+                log_fact[k:]
+                - log_fact[1 : n - k + 1]
+                - log_fact[k]
+                + (k * log_h + np.arange(n - k) * log_q)
+            )
+            tops.append(log_c.max())
+            column[k:] = np.exp(log_c - tops[-1])
+        for k, norm, top in zip(ks, _lower_toeplitz_norms(columns), tops):
+            out[k - 1] = k * np.exp((np.log(norm) + top) / k)
     return out

@@ -50,6 +50,11 @@ def within_the_stated_bound(norm, svd, dim):
     return abs(norm - svd) <= (dim + 1) ** 2 * EPS * svd
 
 
+def lanczos_norm(n, gram):
+    """`spectral._gram_lanczos` as a block of one, from the 1-D Gram product `gram`."""
+    return float(spectral._gram_lanczos(n, 1, lambda rows, x: gram(x[0])[np.newaxis])[0])
+
+
 def random_matrix(seed, dim, complex_input):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
@@ -169,13 +174,13 @@ class TestSpectralNorm:
     def test_lanczos_path_matches_dense_svd_real(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((600, 600))
-        assert spectral._gram_lanczos(600, lambda x: a.T @ (a @ x)) == pytest.approx(
+        assert lanczos_norm(600, lambda x: a.T @ (a @ x)) == pytest.approx(
             np.linalg.svd(a, compute_uv=False)[0], rel=1e-11
         )
 
     def test_lanczos_path_zero_matrix(self):
         a = np.zeros((600, 600))
-        assert spectral._gram_lanczos(600, lambda x: a.T @ (a @ x)) == 0.0
+        assert lanczos_norm(600, lambda x: a.T @ (a @ x)) == 0.0
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e9, 1e12])
     def test_lanczos_norms_scale_with_the_operator(self, scale):
@@ -185,7 +190,7 @@ class TestSpectralNorm:
         are out of scope.
         """
         a = np.random.default_rng(5).standard_normal((600, 600)) * scale
-        assert spectral._gram_lanczos(600, lambda x: a.T @ (a @ x)) == pytest.approx(
+        assert lanczos_norm(600, lambda x: a.T @ (a @ x)) == pytest.approx(
             np.linalg.svd(a, compute_uv=False)[0], rel=1e-13, abs=0
         )
         column = np.random.default_rng(1024).standard_normal(1024) * scale
@@ -197,26 +202,27 @@ class TestSpectralNorm:
         """Gram eigenvalues 1 and 1e-16 make the first projection cancel most of a
         Lanczos vector, which is the input that runs the guarded second pass."""
         d = np.concatenate([np.ones(300), np.full(300, 1e-8)])
-        assert spectral._gram_lanczos(600, lambda x: d * (d * x)) == pytest.approx(
+        assert lanczos_norm(600, lambda x: d * (d * x)) == pytest.approx(
             np.linalg.svd(np.diag(d), compute_uv=False)[0], rel=1e-14, abs=0
         )
 
     def test_gram_lanczos_runs_the_dense_loop(self):
         a = np.random.default_rng(5).standard_normal((600, 600))
-        first = spectral._gram_lanczos(600, lambda x: a.T @ (a @ x))
+        first = lanczos_norm(600, lambda x: a.T @ (a @ x))
         # the start vector is seeded, so equal products give a bitwise-equal Ritz value
-        assert spectral._gram_lanczos(600, lambda x: a.T @ (a @ x)) == first
+        assert lanczos_norm(600, lambda x: a.T @ (a @ x)) == first
         # up to dim 384 the iteration may span the whole space, so the Ritz value
         # is the norm up to rounding; at 385 and 512 it settles within the 384-step cap
         for dim in (1, 2, 64, 385, 512):
             block = a[:dim, :dim].copy()
-            norm = spectral._gram_lanczos(dim, lambda x: block.T @ (block @ x))
+            norm = lanczos_norm(dim, lambda x: block.T @ (block @ x))
             assert norm == pytest.approx(spectral_norm(block), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("dim", [64, 600])
     def test_gram_lanczos_rejects_non_finite_products(self, dim, bad):
-        """Where the Lanczos loop may span the whole space (64) and where it is capped (600)."""
+        """Where the Lanczos loop may span the whole space (64) and where it is
+        capped (600); alone, and as the one bad row of a stack of three."""
 
         def product(x):
             # writes the value instead of multiplying by it, so the test's own
@@ -225,8 +231,24 @@ class TestSpectralNorm:
             y[dim // 2] = bad
             return y
 
-        with pytest.raises(ValueError, match="needs finite products"):
-            spectral._gram_lanczos(dim, lambda x: product(product(x)))
+        with pytest.raises(ValueError, match="needs finite products.* at Lanczos step 1$"):
+            lanczos_norm(dim, lambda x: product(product(x)))
+
+        d = np.linspace(1.0, 2.0, dim)
+        steps = []
+
+        def stack(rows, x):
+            # three rows of one diagonal operator, all still running at step 3,
+            # where row 1's product turns bad
+            steps.append(len(rows))
+            y = d * (d * x)
+            if len(steps) == 3:
+                y[1] = product(y[1])
+            return y
+
+        with pytest.raises(ValueError, match="needs finite products.* at Lanczos step 3$"):
+            spectral._gram_lanczos(dim, 3, stack)
+        assert steps == [3, 3, 3]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 16, 64, 256, 512, 513, 1024])
     def test_lower_toeplitz_norm_is_the_assembled_norm(self, dim):
@@ -278,16 +300,26 @@ class TestSpectralNorm:
             # the shape of a Lanczos Gram tridiagonal
             diag, off = diag * diag + np.append(off * off, 0.0), diag[1:] * off
         expected = eigh_tridiagonal(diag, off, eigvals_only=True)[-1]
-        assert spectral._top_ritz(diag, off) == pytest.approx(expected, rel=1e-14, abs=0)
+        top = spectral._top_ritz(diag[np.newaxis], off[np.newaxis])
+        assert top.shape == (1,)
+        assert top[0] == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_top_ritz_of_a_stack_is_each_tridiagonal_alone(self):
+        """One stacked eigvalsh: each row's value is bitwise its block-of-one value."""
+        rng = np.random.default_rng(7)
+        diag, off = rng.standard_normal((5, 32)), rng.standard_normal((5, 31))
+        singles = [spectral._top_ritz(d[np.newaxis], o[np.newaxis])[0] for d, o in zip(diag, off)]
+        assert spectral._top_ritz(diag, off).tolist() == singles
 
     @pytest.fixture
     def ritz_sizes(self, monkeypatch):
-        """The tridiagonal size of each `_top_ritz` call, in call order."""
+        """The tridiagonal size of each row that a stacked `_top_ritz` call
+        evaluates, in call order and, within a call, row order."""
         seen = []
         top_ritz = spectral._top_ritz
 
         def recording(diag, off):
-            seen.append(len(diag))
+            seen.extend([diag.shape[1]] * diag.shape[0])
             return top_ritz(diag, off)
 
         monkeypatch.setattr(spectral, "_top_ritz", recording)
@@ -306,7 +338,7 @@ class TestSpectralNorm:
         """The left witness's `norm_T` runs to its step cap: checks at 16, 32,
         ..., 256 and once more at the cap, min(n, 384) steps."""
         matvec, rmatvec = _resolvent_matvecs(n, QuadratureRule.LEFT_ENDPOINT)
-        spectral._gram_lanczos(n, lambda x: rmatvec(matvec(x)))
+        lanczos_norm(n, lambda x: rmatvec(matvec(x)))
         assert ritz_sizes == sizes
 
     def test_each_way_to_stop_takes_the_ritz_value_once(self, ritz_sizes):
@@ -316,7 +348,7 @@ class TestSpectralNorm:
 
         def sizes(n, gram):
             ritz_sizes.clear()
-            spectral._gram_lanczos(n, gram)
+            lanczos_norm(n, gram)
             return list(ritz_sizes)
 
         rng = np.random.default_rng(1)
@@ -345,6 +377,41 @@ class TestSpectralNorm:
         assert collections.Counter(ritz_sizes) == {
             5: 31, 6: 13, 7: 8, 8: 1, 9: 1, 10: 1, 11: 2, 14: 1, 16: 6, 19: 1, 30: 1, 32: 4
         }
+
+    def test_stacked_rows_are_their_single_row_norms_bitwise(self, ritz_sizes):
+        """One stack at n = 600 that stops each way: a zero column at an
+        invariant subspace at step 1, the column of (T - I)^3 on the left grid
+        at the settled check at 32, and the trapezoid T_n's column at the
+        384-step cap.  Each row leaves the stack when it stops, and its norm is
+        bitwise its block-of-one norm."""
+        n = 600
+        left, _ = _resolvent_matvecs(n, QuadratureRule.LEFT_ENDPOINT)
+        trapezoid, _ = _resolvent_matvecs(n, QuadratureRule.TRAPEZOID)
+        first = np.eye(n)[0]
+        power = first
+        for _ in range(3):
+            power = left(power) - power
+        columns = np.stack([np.zeros(n), power, trapezoid(first)])
+        stacked = spectral._lower_toeplitz_norms(columns)
+        assert ritz_sizes == [1, 16, 16, 32, 32, 64, 128, 256, 384]
+        assert stacked.tolist() == [lower_toeplitz_norm(column) for column in columns]
+        # and in the other order, where the longest run is the first row
+        assert spectral._lower_toeplitz_norms(columns[::-1]).tolist() == stacked[::-1].tolist()
+
+    def test_a_stack_past_numpys_elision_threshold_keeps_each_rows_bits(self):
+        """Sixteen growth columns at n = 1024 make (16, 1025) complex spectra, 256
+        KiB and up, where numpy would multiply into a temporary FFT in place and
+        round differently from the same product on one row."""
+        n = 1024
+        left, _ = _resolvent_matvecs(n, QuadratureRule.LEFT_ENDPOINT)
+        power = np.eye(n)[0]
+        columns = []
+        for _ in range(16):
+            power = left(power) - power
+            columns.append(power / np.abs(power).max())
+        columns = np.stack(columns)
+        singles = [lower_toeplitz_norm(column) for column in columns]
+        assert spectral._lower_toeplitz_norms(columns).tolist() == singles
 
     @pytest.mark.parametrize("dim", [2, 16, 513])
     def test_stacked_norms_are_the_per_matrix_norms_bitwise(self, dim):

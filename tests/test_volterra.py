@@ -39,6 +39,11 @@ from oracle import (
 
 TOL = ToleranceConfig()
 
+
+def lanczos_norm(n, gram):
+    """`spectral._gram_lanczos` as a block of one, from the 1-D Gram product `gram`."""
+    return float(spectral._gram_lanczos(n, 1, lambda rows, x: gram(x[0])[np.newaxis])[0])
+
 # dense-SVD oracle values for ||T_n - I||, trapezoid rule (frozen before build)
 ORACLE_DEVIATION = {256: 0.442119035758, 512: 0.44212020365614096, 1024: 0.442120495630306}
 
@@ -209,11 +214,11 @@ class TestMatrixFreeWitness:
         iteration on the dense products."""
         t = resolvent_at_identity(volterra_matrix(n, rule)).entries
         matvec, rmatvec = _resolvent_matvecs(n, rule)
-        matrix_free = spectral._gram_lanczos(n, lambda x: rmatvec(matvec(x)))
+        matrix_free = lanczos_norm(n, lambda x: rmatvec(matvec(x)))
         if n <= 384:
             assert matrix_free == pytest.approx(dense_norm(t), rel=1e-14, abs=0)
         else:
-            dense = spectral._gram_lanczos(n, lambda x: t.T @ (t @ x))
+            dense = lanczos_norm(n, lambda x: t.T @ (t @ x))
             assert matrix_free == pytest.approx(dense, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("rule", list(QuadratureRule))
@@ -236,7 +241,7 @@ class TestMatrixFreeWitness:
         t = resolvent_at_identity(volterra_matrix(n, rule)).entries
         matvec, rmatvec = _resolvent_matvecs(n, rule)
         norm_t = build_witness(n, rule, TOL).norm_T
-        assert norm_t == spectral._gram_lanczos(n, lambda x: rmatvec(matvec(x)))
+        assert norm_t == lanczos_norm(n, lambda x: rmatvec(matvec(x)))
         assert norm_t == pytest.approx(dense_norm(t), rel=5e-11, abs=0)
 
     @pytest.mark.parametrize("rule", list(QuadratureRule))
@@ -257,7 +262,7 @@ class TestMatrixFreeWitness:
     @pytest.mark.parametrize("n", [1, 2, 7, 512, 513, 4096])
     def test_cluster_radius_is_bitwise_the_eigenvalue_path(self, n, rule, monkeypatch):
         # the radius reads neither norm, so both are stubbed: no Lanczos run at 4096
-        monkeypatch.setattr(volterra, "_gram_lanczos", lambda *args: 1.0)
+        monkeypatch.setattr(volterra, "_gram_lanczos", lambda *args: np.ones(1))
         # the spectrum of the triangular T_n = (I + V_n)^(-1) is 1 / (1 + V_n[i, i])
         spectrum = 1.0 / (1.0 + volterra_diagonal(n, rule))
         if n <= 513:  # bitwise the dense solve's; at 4096 that solve alone takes seconds
@@ -364,7 +369,7 @@ class TestClosedFormWitness:
         settles above n = 512 (measured: [0.12544, 0.12566] left, -0.1020523
         +- 2e-8 trapezoid).  A wrong secular root would be off by O(1) n^2."""
         # deviation reads no Lanczos, so norm_T's is stubbed: up to 0.2 s per witness
-        monkeypatch.setattr(volterra, "_gram_lanczos", lambda *args: 1.0)
+        monkeypatch.setattr(volterra, "_gram_lanczos", lambda *args: np.ones(1))
         with mpmath.workdps(30):
             omega = mpmath.findroot(lambda w: mpmath.tan(w) + w, 2.0)
             limit = 1 / mpmath.sqrt(1 + omega**2)
@@ -378,18 +383,18 @@ class TestClosedFormWitness:
         calls = []
         lanczos = volterra._gram_lanczos
 
-        def counted(n, gram):
-            calls.append(n)
-            return lanczos(n, gram)
+        def counted(n, count, gram):
+            calls.append((n, count))
+            return lanczos(n, count, gram)
 
         monkeypatch.setattr(volterra, "_gram_lanczos", counted)
         convergence_study(DEFAULT_NS, rule, TOL)
-        assert calls == [1024]
+        assert calls == [(1024, 1)]
         calls.clear()
         build_witness(512, rule, TOL)
         assert calls == []
         build_witness(513, rule, TOL)
-        assert calls == [513]
+        assert calls == [(513, 1)]
 
 
 class TestConvergence:
@@ -512,3 +517,20 @@ class TestGrowthDiagnostic:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20  # one dense 4096 x 4096 float64 matrix is 128 MiB
+
+    @pytest.mark.parametrize(("n", "k_max"), [(1024, 256), (4096, 256)])
+    def test_stacks_hold_no_full_lanczos_basis(self, n, k_max):
+        """The powers are normed in stacks of max(1, 4096 // n) columns, 4096
+        entries (32 KiB) per Lanczos step, and every growth norm stops by step
+        32.  So a stack's basis, grown by doubling for the rows still running,
+        peaks at 48 steps while it grows from 16 to 32: 1.5 MiB (measured peak
+        with the FFT buffers: 2.1 MiB).  The bound is 128 steps, 4 MiB, a third
+        of the 12 MiB that a basis laid out at the full (rows, 384, n) shape
+        allocates."""
+        tracemalloc.start()
+        try:
+            growth_diagnostic(n, k_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 4096 * 8
