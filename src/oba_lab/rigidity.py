@@ -107,6 +107,23 @@ def rigidity_gaps(stack) -> tuple[np.ndarray, np.ndarray]:
     return spectral_norms(m) - 1.0, spectral_norms(m - np.eye(m.shape[-1]))
 
 
+def _linear_law_constant(dim: int) -> float:
+    """c_d = csc(pi/(4d - 2)): ||N|| <= c_d (||I + N|| - 1) for N nilpotent in dimension d.
+
+    Triangularize N unitarily (Schur form); ||I + N|| >= 1 + lam, with lam the
+    top eigenvalue of Re N = (N + N^H)/2.  If lam <= 0, Re N is negative
+    semidefinite with zero trace, so Re N = 0 and N = 0.  Otherwise
+    P = I - Re N / lam is positive semidefinite with unit diagonal and
+    N = 2 triu(Re N) = -2 lam (P o U_d), with U_d the strictly upper all-ones
+    matrix and o the entrywise product, so ||N|| <= 2 lam ||U_d|| (Schur 1911;
+    Horn-Johnson, Topics in Matrix Analysis, 1991, section 5.5).  The inverse
+    of U_d's nonzero block is the bidiagonal difference matrix, whose Gram
+    matrix has least eigenvalue 4 sin^2(pi/(4d - 2)): 2 ||U_d|| = c_d, and
+    I - t U_d reaches c_d as t -> 0, so no smaller constant holds.
+    """
+    return 1.0 / math.sin(math.pi / (4 * dim - 2))
+
+
 def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> RigidityVerdict:
     """Enforce the rigidity hypotheses, then check the deviation from I against its law.
 
@@ -119,12 +136,11 @@ def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
 
     When the spectrum is exactly {1} (as `eigenvalues` reads it off a
     triangular diagonal), A = I + N with N nilpotent, and the linear law
-    ||A - I|| <= sqrt(2d(d-1)) (||A|| - 1) holds in dimension d (by the field
-    of values; Horn-Johnson, Topics in Matrix Analysis, ch. 1).  The verdict
-    is returned unless the deviation exceeds sqrt(2d(d-1)) times the
-    nonnegative part of the norm excess plus a rounding margin of
-    4 d eps (1 + excess) for the two Gram-eigenvalue norms; its `is_identity`
-    stays deviation <= abs_tol.
+    ||A - I|| <= c_d (||A|| - 1) holds in dimension d with its least
+    constant c_d = csc(pi/(4d - 2)) (`_linear_law_constant`).  The verdict is
+    returned unless the deviation exceeds c_d times the nonnegative part of
+    the norm excess plus a rounding margin of 4 d eps (1 + excess) for the two
+    Gram-eigenvalue norms; its `is_identity` stays deviation <= abs_tol.
 
     The margin holds because the law is checked only after the norm clause
     has passed: the true excess is then at most about abs_tol, so by the law
@@ -132,9 +148,8 @@ def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
     Forming A^H A then errs by about d eps rather than the general d^2 eps,
     and with the eigensolver's backward error ||A||, hence the excess, is
     within about 2 d eps (1 + excess) of its value.  ||A - I|| errs by at
-    most (d + 1)^2 eps relative; by the law that is at most
-    sqrt(2d(d-1)) (d + 1)^2 eps times the excess, far below the margin's
-    share while the excess is about abs_tol.
+    most (d + 1)^2 eps relative, by the law at most c_d (d + 1)^2 eps times
+    the excess: far below the margin's share while the excess is about abs_tol.
 
     For a spectrum only within abs_tol of 1 no perturbed law is derived: a
     deviation beyond abs_tol raises ComputationError, as it does when the law
@@ -157,11 +172,11 @@ def check_rigidity(a: MatrixOperator, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
         dim = eigs.size
         excess = max(verdict.norm_excess, 0.0)
         margin = 4 * dim * np.finfo(np.float64).eps * (1.0 + excess)
-        allowed = math.sqrt(2 * dim * (dim - 1)) * (excess + margin)
+        allowed = _linear_law_constant(dim) * (excess + margin)
         if verdict.deviation > allowed:
             raise ComputationError(
                 f"rigidity law violated: deviation from identity is {verdict.deviation:.6e}, "
-                f"above sqrt(2d(d-1)) (norm excess + margin) = {allowed:.6e} at d = {dim}"
+                f"above c_d (norm excess + margin) = {allowed:.6e} at d = {dim}"
             )
     elif not verdict.is_identity:
         raise ComputationError(

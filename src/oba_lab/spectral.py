@@ -6,11 +6,11 @@ eigensolve for the whole stack.  Each matrix is first scaled by the power of
 two of its largest real or imaginary part, which is exact and keeps the Gram
 matrix clear of overflow and underflow at any finite scale.  Operators given
 only by their action, lower-triangular Toeplitz matrices among them, are
-normed by Lanczos of at most min(n, 384) steps at every dimension n, in
-stacks: one lockstep iteration takes the norms of many operators, one
-stacked BLAS, FFT or LAPACK call per step for the whole stack, and gives each
-the bits it gets alone.  Where the stack is many short runs, as for the
-`growth` powers, that saves the per-call cost that sets their time.
+normed by Lanczos with Ritz checks at steps 16 and 32 and at the cap
+min(n, 384), in stacks: one lockstep iteration takes the norms of many
+operators, one stacked BLAS, FFT or LAPACK call per step for the whole stack,
+and gives each the bits it gets alone.  Where the stack is many short runs,
+as for the `growth` powers, that saves the per-call cost that sets their time.
 """
 
 from __future__ import annotations
@@ -33,19 +33,12 @@ _SVD_MAX_DIM = 512
 _LANCZOS_SEED = 0x5EED
 _LANCZOS_MAX_STEPS = 384
 _LANCZOS_TOL = 1e-12
-# Ritz check steps 16, 32, 64, ...; `_gram_lanczos` states the stop rule.  The
-# norms taken here settle within 32 steps or run to the cap, and a check costs
-# O(k^3) in the dense eigensolver, so checks in between would only cost time.
-_LANCZOS_FIRST_CHECK = 16
+# The Ritz checks before the cap, which also size the basis: every `growth` norm
+# stops by step 32 and norm_T above n = 512 runs to the cap (`_gram_lanczos`).
+_LANCZOS_CHECKS = (16, 32)
 # Reorthogonalize a second time when the first pass leaves less than this
 # fraction of the vector's norm ("twice is enough", Kahan-Parlett).
 _REORTH_GUARD = 2**-0.5
-# The basis starts with room for 16 steps and doubles, for the rows still
-# running, up to 64 steps; a row past 64 steps gets room for the cap at once.
-# Every `growth` norm stops by step 32, and the witness's norm_T above n = 512
-# runs to the cap, where doubling on to 128 and 256 would copy its basis twice
-# more (about 10% of its time at n = 4096, measured on 2 vCPUs).
-_LANCZOS_DOUBLE_UNTIL = 64
 
 
 def spectral_norm(a) -> float:
@@ -101,9 +94,10 @@ def spectral_norms(stack) -> np.ndarray:
 def lower_toeplitz_norm(column) -> float:
     """Largest singular value of the real lower-triangular Toeplitz matrix with this first column.
 
-    The one-column case of `_lower_toeplitz_norms`, bitwise.  The matrix is
-    never formed, at any dimension.  The column must be a nonempty real vector
-    of finite entries.
+    The one-column case of `_lower_toeplitz_norms`, bitwise, never forming the
+    matrix.  A column whose top Ritz value has not settled by step 32 runs to
+    the cap min(n, 384) (`_gram_lanczos`).  The column must be a nonempty real
+    vector of finite entries.
     """
     col = np.asarray(column)
     if col.ndim != 1 or col.size < 1 or np.iscomplexobj(col):
@@ -157,42 +151,40 @@ def _gram_lanczos(n: int, count: int, gram) -> np.ndarray:
     is the same BLAS, FFT and LAPACK calls it makes alone: every norm is
     bitwise its value as a block of one, and equal products give equal values.
 
-    Each row stops in one of three ways, taking its top Ritz value once at the
-    stop (Parlett, The Symmetric Eigenvalue Problem, ch. 13): at an invariant
-    subspace, where the Ritz value is exact; at a check step (16, 32, ..., 256)
-    whose Ritz value moved by at most `_LANCZOS_TOL` relative since the last
-    check; or at the step cap min(n, 384).  Up to dimension 384 the cap may be
-    the whole space, where the Ritz value is the norm up to rounding; above it,
-    a lower bound that approaches the norm from below.  Both stop tests are
-    relative, so the result scales with A wherever its Gram products neither
-    overflow nor underflow.
+    Ritz values are checked at steps 16 and 32 below the cap min(n, 384), and
+    at the cap.  Each row stops in one of three ways, taking its top Ritz
+    value once at the stop (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 13): at an invariant subspace, where it is exact; at step 32 if it
+    moved by at most `_LANCZOS_TOL` relative since step 16; or at the cap,
+    where it is the norm up to rounding if the cap is the whole space
+    (n <= 384), and otherwise a lower bound that approaches the norm from
+    below.  Both stop tests are relative, so the result scales with A wherever
+    its Gram products neither overflow nor underflow.
 
     A stopped row leaves the stack.  The basis is one (rows, capacity, n)
-    block: room for 16 steps, doubled for the rows still running up to 64 and
-    then widened to the cap (see `_LANCZOS_DOUBLE_UNTIL`), so a stack of rows
-    that stop early never holds the 384-step basis.  A product with a NaN or
-    infinity raises ValueError, naming the step.  The callers guarantee
-    n >= 1, count >= 1 and real products.
+    block with room up to the next check, widened for the rows still running,
+    so a stack of rows that stop by step 32 never holds the 384-step basis.
+    A NaN or infinity in a product raises ValueError, naming the step.  The
+    callers guarantee n >= 1, count >= 1 and real products.
     """
     start = default_rng(_LANCZOS_SEED).standard_normal(n)
     v = np.tile(start / np.linalg.norm(start), (count, 1))
 
     steps = min(n, _LANCZOS_MAX_STEPS)
+    checks = [c for c in _LANCZOS_CHECKS if c < steps] + [steps]
     rows = np.arange(count)
     norms = np.empty(count)
     # each operator's Lanczos vectors are consecutive rows of its slab, so each
     # projection reads one block; row j is written before any read, so no zeroing
-    basis = np.empty((count, min(steps, _LANCZOS_FIRST_CHECK), n))
+    basis = np.empty((count, checks[0], n))
     alphas = np.empty((count, steps))
     betas = np.empty((count, steps))
     # the largest |alpha| so far: the scale of the invariant-subspace test
     peak = np.zeros(count)
     lam = np.full(count, -np.inf)
-    check_at = _LANCZOS_FIRST_CHECK
     for j in range(steps):
         if j == basis.shape[1]:
-            room = min(2 * j, steps) if j < _LANCZOS_DOUBLE_UNTIL else steps
-            grown = np.empty((len(rows), room, n))
+            grown = np.empty((len(rows), checks[checks.index(j) + 1], n))
             grown[:, :j] = basis
             basis = grown
         basis[:, j] = v
@@ -224,17 +216,13 @@ def _gram_lanczos(n: int, count: int, gram) -> np.ndarray:
         np.maximum(peak, np.abs(alpha), out=peak)
         # the one stop point, with the one Ritz evaluation per stop or check
         invariant = beta <= 1e-14 * peak
-        checked = step in (check_at, steps)
+        checked = step in checks
         if checked or any(invariant):
             ritz = slice(None) if checked else invariant
             top = _top_ritz(alphas[ritz, :step], betas[ritz, : step - 1])
             settled = top - lam[ritz] <= _LANCZOS_TOL * top
             lam[ritz] = top
-            # a check stops the rows it finds settled, and the cap stops every
-            # row; between checks only the invariant rows are evaluated
             stop = invariant | settled | (step == steps) if checked else invariant
-            if checked:
-                check_at *= 2
             if stop.any():
                 norms[rows[stop]] = np.sqrt(np.maximum(lam[stop], 0.0))
                 if stop.all():

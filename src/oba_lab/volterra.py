@@ -12,8 +12,8 @@ Neither V_n nor T_n = (I + V_n)^(-1) is ever formed.  Under both rules T_n is
 lower-triangular Toeplitz with a closed-form first column.  The witness's
 `deviation` ||T_n - I|| is the top root of a scalar secular equation at every
 n, about 0.5 ms on 2 vCPUs, and so is ||T_n|| up to n = 512.  Above that
-||T_n|| is a Lanczos iteration of min(n, 384) steps on O(n) products with
-T_n, about 0.2 s at n = 4096, kept because the benchmark reference pins it.
+||T_n|| is a capped Lanczos norm on the O(n) products of `_resolvent_matvecs`,
+about 0.2 s at n = 4096, kept because the benchmark reference pins it.
 `growth` norms the closed-form columns of (T_n - I)^k, many powers per
 Lanczos stack.
 """
@@ -78,12 +78,12 @@ def _witness_norm(n: int, rule: QuadratureRule, shift: float) -> float:
     symbol's peak (theta = pi for shift 0, theta = 0 for shift 1): measured
     0.64 pi/n to 1.003 pi/n from it, with the next root at least 0.79 pi/n on.
 
-    The root is bracketed on a grid of step pi/(16n) that starts one step off
-    the peak (within 4 pi/n of it from n = 64 on, all of (0, pi) below) and
-    refined by 64 points per pass down to adjacent floats.  Three forms keep
-    it accurate: the denominator h^2 + 4ab s^2, not a^2 + b^2 - 2ab cos theta,
-    which cancels; the last row divided by sin theta, which removes the
-    trivial roots at 0 and pi, where x vanishes; and
+    The root is bracketed on at most 64 points of step pi/(16n) from one step
+    off the peak, up to 4 pi/n from it (all of (0, pi) for n <= 4), and refined
+    by 64 points per pass down to adjacent floats.  Three forms keep it
+    accurate: the denominator h^2 + 4ab s^2, not a^2 + b^2 - 2ab cos theta,
+    which cancels; the last row divided by sin theta, which removes the trivial
+    roots at 0 and pi, where x vanishes; and
     2a cos((n + 1/2) theta) s + h sin(n theta) in place of
     a sin((n + 1) theta) - b sin(n theta), which cancels near 0.
     """
@@ -110,7 +110,7 @@ def _witness_norm(n: int, rule: QuadratureRule, shift: float) -> float:
         return last_row / np.sin(theta), mu
 
     step = math.pi / (16 * n)
-    theta = peak + away * step * np.arange(1, 65 if n >= 64 else 16 * n)
+    theta = peak + away * step * np.arange(1, min(65, 16 * n))
     while True:
         value, mu = secular(theta)
         k = np.flatnonzero(np.signbit(value) != np.signbit(value[0]))[0]
@@ -180,21 +180,17 @@ def build_witness(
     one norm: (T_n, xi) is in the cone by ||T_n|| against xi, and it is above
     the unit iff (T_n - I, xi - 1) is in the cone, by ||T_n - I|| against xi - 1.
 
-    No V_n is formed and no system solved.  `deviation` is the closed form of
-    `_witness_norm` at every n, within 2e-15 relative of the dense SVD, at
-    about 0.5 ms on 2 vCPUs, and so is `norm_T` up to n = 512.  Above it
-    `norm_T` comes from `spectral._gram_lanczos` as a block of one, 384 steps
-    on the O(n) Toeplitz products of `_resolvent_matvecs`, about 0.2 s at
-    n = 4096.  The spectrum of the triangular T_n is its diagonal c_0 alone.
+    No V_n is formed and no system solved; the module docstring says how each
+    norm is taken.  The closed-form `deviation` is within 2e-15 relative of
+    the dense SVD.  The spectrum of the triangular T_n is its diagonal c_0.
 
     `rule` is a `QuadratureRule` or its value ("left", "trapezoid"); anything
     else is a ValueError.
     """
     n, rule = _check_grid(n), QuadratureRule(rule)
-    # Above n = 512 the capped Lanczos norm_T stays because perfbench/reference.json
-    # pins it: the closed form would move it there by up to 3.3e-11, past the
-    # 1e-12 floor of perfbench/check.py.  This branch goes once the benchmark
-    # regenerates that reference.
+    # Above n = 512 the capped Lanczos norm_T stays until perfbench/reference.json
+    # is regenerated: the closed form would move it there by up to 3.3e-11, past
+    # the 1e-12 floor of perfbench/check.py.
     if n <= 512:
         norm_t = _witness_norm(n, rule, 0.0)
     else:

@@ -239,7 +239,7 @@ class TestCheckRigidity:
 
 
 class TestLinearLaw:
-    """||A - I|| <= sqrt(2d(d-1)) (||A|| - 1) for A = I + N, N nilpotent (Horn-Johnson)."""
+    """||A - I|| <= c_d (||A|| - 1) for A = I + N, N nilpotent, c_d = csc(pi/(4d - 2))."""
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 10.0])
     def test_law_and_its_field_of_values_step(self, scale):
@@ -248,10 +248,28 @@ class TestLinearLaw:
             n = random_strict_nilpotent_stack(range(64), dim, scale)
             excess, deviation = rigidity_gaps(np.eye(dim) + n)
             margin = 4 * dim * eps * (1 + excess)
-            assert (deviation <= math.sqrt(2 * dim * (dim - 1)) * (excess + margin)).all()
+            assert (deviation <= rigidity._linear_law_constant(dim) * (excess + margin)).all()
             # ||A|| >= max Re<Ax, x> = 1 + lambda_max of the Hermitian part of N
             hermitian = (n + np.conj(np.swapaxes(n, -1, -2))) / 2
             assert (excess >= np.linalg.eigvalsh(hermitian)[:, -1] - margin).all()
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16, 64])
+    def test_constant_is_twice_the_norm_of_the_strict_upper_ones(self, dim):
+        u = np.triu(np.ones((dim, dim)), 1)
+        assert rigidity._linear_law_constant(dim) == pytest.approx(
+            2 * spectral_norm(u), rel=1e-12, abs=0
+        )
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_extremal_family_passes_with_c_d_and_fails_below_it(self, dim, monkeypatch):
+        """I - t U_d, whose ratio deviation / excess tends to c_d as t -> 0, at a t
+        whose excess, about t/2, passes the norm clause at the default tolerance."""
+        a = MatrixOperator(np.eye(dim) - 1e-9 * np.triu(np.ones((dim, dim)), 1))
+        check_rigidity(a, TOL)
+        c_d = rigidity._linear_law_constant(dim)
+        monkeypatch.setattr(rigidity, "_linear_law_constant", lambda d: 0.99 * c_d)
+        with pytest.raises(ComputationError, match="rigidity law violated"):
+            check_rigidity(a, TOL)
 
     def test_law_is_sharp_at_dimension_two(self):
         # a constant of sqrt(d(d-1)/2) = 1 would fail here

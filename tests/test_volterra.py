@@ -522,11 +522,11 @@ class TestGrowthDiagnostic:
     def test_stacks_hold_no_full_lanczos_basis(self, n, k_max):
         """The powers are normed in stacks of max(1, 4096 // n) columns, 4096
         entries (32 KiB) per Lanczos step, and every growth norm stops by step
-        32.  So a stack's basis, grown by doubling for the rows still running,
-        peaks at 48 steps while it grows from 16 to 32: 1.5 MiB (measured peak
-        with the FFT buffers: 2.1 MiB).  The bound is 128 steps, 4 MiB, a third
-        of the 12 MiB that a basis laid out at the full (rows, 384, n) shape
-        allocates."""
+        32.  So a stack's basis, widened from room for the check at 16 to room
+        for the one at 32 for the rows still running, peaks at 48 steps while
+        it grows: 1.5 MiB (measured peak with the FFT buffers: 2.1 MiB).  The
+        bound is 128 steps, 4 MiB, a third of the 12 MiB that a basis laid out
+        at the full (rows, 384, n) shape allocates."""
         tracemalloc.start()
         try:
             growth_diagnostic(n, k_max)
