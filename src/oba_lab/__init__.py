@@ -27,12 +27,7 @@ from .rigidity import (
     random_unitary,
     rigidity_gap,
 )
-from .spectral import (
-    cluster_radius,
-    eigenvalues,
-    lower_toeplitz_norm,
-    spectral_norm,
-)
+from .spectral import cluster_radius, eigenvalues, spectral_norm
 from .suites import PropertyResult, SuiteReport, run_axiom_suite, run_rigidity_suite
 from .volterra import (
     GrowthReport,
@@ -68,7 +63,6 @@ __all__ = [
     "eigenvalues",
     "geq_unit",
     "growth_diagnostic",
-    "lower_toeplitz_norm",
     "prod_involution",
     "prod_mul",
     "prod_norm",

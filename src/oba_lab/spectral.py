@@ -4,23 +4,20 @@ A dense matrix, or each matrix of a stack, is normed as the square root of
 the top eigenvalue of its Gram matrix A^H A, one stacked Hermitian
 eigensolve for the whole stack.  Each matrix is first scaled by the power of
 two of its largest real or imaginary part, which is exact and keeps the Gram
-matrix clear of overflow and underflow at any finite scale.  Operators given
-only by their action, lower-triangular Toeplitz matrices among them, are
-normed by Lanczos with Ritz checks at steps 16 and 32 and at the cap
-min(n, 384), in stacks: one lockstep iteration takes the norms of many
-operators, one stacked BLAS, FFT or LAPACK call per step for the whole stack,
-and gives each the bits it gets alone.  Where the stack is many short runs,
-as for the `growth` powers, that saves the per-call cost that sets their time.
+matrix clear of overflow and underflow at any finite scale.  The `growth`
+powers, lower-triangular Toeplitz matrices given by their first columns, are
+normed by power iteration on FFT products, in stacks: their Gram matrices
+are entrywise positive, so the iteration converges fast by Perron-Frobenius,
+and a stack makes one FFT call per step for all its columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# numpy 2 loads its fft and random submodules lazily, on first attribute access;
-# importing them here keeps that cost (about 10 ms) out of the first norm.
+# numpy 2 loads its fft submodule lazily, on first attribute access; importing
+# it here keeps that cost (about 10 ms) out of the first norm.
 from numpy.fft import irfft, rfft
-from numpy.random import default_rng
 
 from .errors import ComputationError
 from .operators import _validated_square
@@ -30,15 +27,14 @@ from .operators import _validated_square
 # dimension takes the Gram eigenvalue path, so the split no longer marks a
 # change of method.
 _SVD_MAX_DIM = 512
-_LANCZOS_SEED = 0x5EED
-_LANCZOS_MAX_STEPS = 384
-_LANCZOS_TOL = 1e-12
-# The Ritz checks before the cap, which also size the basis: every `growth` norm
-# stops by step 32 and norm_T above n = 512 runs to the cap (`_gram_lanczos`).
-_LANCZOS_CHECKS = (16, 32)
-# Reorthogonalize a second time when the first pass leaves less than this
-# fraction of the vector's norm ("twice is enough", Kahan-Parlett).
-_REORTH_GUARD = 2**-0.5
+# A power-iteration norm stops once its estimate grows by at most this much,
+# relative, in one step.
+_POWER_TOL = 1e-15
+# The power-iteration steps a Toeplitz norm may take before it raises
+# ComputationError.  Every growth power measured settles within 14 (n = 2..160,
+# 200, 333, 512 and 1000 at k_max = n - 1, 2048/512, 4096/64); the cap stands
+# in for the silent lower bound an unsettled estimate would be.
+_POWER_STEPS = 64
 
 
 def spectral_norm(a) -> float:
@@ -91,34 +87,30 @@ def spectral_norms(stack) -> np.ndarray:
     return np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[:, -1]), exponent)
 
 
-def lower_toeplitz_norm(column) -> float:
-    """Largest singular value of the real lower-triangular Toeplitz matrix with this first column.
-
-    The one-column case of `_lower_toeplitz_norms`, bitwise, never forming the
-    matrix.  A column whose top Ritz value has not settled by step 32 runs to
-    the cap min(n, 384) (`_gram_lanczos`).  The column must be a nonempty real
-    vector of finite entries.
-    """
-    col = np.asarray(column)
-    if col.ndim != 1 or col.size < 1 or np.iscomplexobj(col):
-        raise ValueError(
-            f"a Toeplitz column must be a nonempty real vector, got {col.dtype} of shape {col.shape}"
-        )
-    if not np.isfinite(col).all():
-        raise ValueError("a Toeplitz column must have finite entries, got a NaN or infinity")
-    return float(_lower_toeplitz_norms(col[np.newaxis])[0])
-
-
-def _lower_toeplitz_norms(columns: np.ndarray) -> np.ndarray:
+def _lower_toeplitz_norms(columns: np.ndarray, powers) -> np.ndarray:
     """Norms of the lower-triangular Toeplitz matrices whose first columns are the rows of a block.
 
-    `columns` is a (count, n) block of real, finite rows.  The products with
-    each matrix and its transpose are row-wise FFT convolution and correlation
-    at the first power of two of at least 2n - 1, so no wraparound occurs, and
-    one `_gram_lanczos` stack takes every norm from them, in O(count n log n)
-    time per step.  Each row's norm is bitwise the one it gets as a block of
-    one.  The caller sets the stack size by the memory it allows: the stack's
-    basis holds count n entries per step.
+    `columns` is a (count, n) block of real, finite rows, each of one sign
+    as every `growth` column is (a zero row gives 0); `powers` gives the power k
+    of each row, which the step-cap error names.  The products with each
+    matrix A and its transpose are row-wise FFT convolution and correlation
+    at the first power of two of at least 2n - 1, so no wraparound occurs.
+    No matrix is formed.
+
+    Each norm is the square root of the top eigenvalue of A^T A, by power
+    iteration from the uniform vector x: each step takes G x = A^T A x and
+    its norm theta, an estimate that grows toward the top eigenvalue, and
+    sets x = G x / theta.  A column of one sign makes G entrywise positive,
+    so by Perron-Frobenius its top eigenvalue is simple and the uniform start
+    is not orthogonal to its eigenvector; the growth powers' wide spectral
+    gaps settle every estimate within a few steps.  A row stops, and leaves
+    the stack, once theta grows by at most `_POWER_TOL` relative in a step.
+    A row still running after `_POWER_STEPS` steps raises ComputationError
+    naming its power, as does a NaN or infinity, which never settles.  A
+    row's arithmetic is the same FFT calls and row sums it makes alone, so
+    each norm is bitwise its value as a block of one.  The caller sets the
+    stack size by the memory it allows: a stack holds a few (count, n)
+    blocks and their spectra.
     """
     count, n = columns.shape
     # numpy.fft, not scipy.fft: the runtime depends on numpy only
@@ -133,131 +125,27 @@ def _lower_toeplitz_norms(columns: np.ndarray) -> np.ndarray:
         transform = rfft(x, size)
         return irfft(spectra * transform, size)[:, :n]
 
-    return _gram_lanczos(
-        n, count, lambda rows, x: product(conjugates[rows], product(symbols[rows], x))
-    )
-
-
-def _gram_lanczos(n: int, count: int, gram) -> np.ndarray:
-    """Largest singular values of `count` real n x n operators A_i, from their Gram products.
-
-    `gram(rows, x)` returns the block whose row r is A_i^T A_i x_r, with i =
-    rows[r]: `rows` holds the indices, ascending, of the operators still
-    running, and x one vector per running operator.  No matrix is formed: each
-    norm is the square root of the top Ritz value of a Lanczos iteration on
-    A_i^T A_i with a seeded start, shared by every row, and full
-    reorthogonalization.  The iterations run in lockstep, one stacked call per
-    product, dot product, projection and Ritz check, and each row's arithmetic
-    is the same BLAS, FFT and LAPACK calls it makes alone: every norm is
-    bitwise its value as a block of one, and equal products give equal values.
-
-    Ritz values are checked at steps 16 and 32 below the cap min(n, 384), and
-    at the cap.  Each row stops in one of three ways, taking its top Ritz
-    value once at the stop (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 13): at an invariant subspace, where it is exact; at step 32 if it
-    moved by at most `_LANCZOS_TOL` relative since step 16; or at the cap,
-    where it is the norm up to rounding if the cap is the whole space
-    (n <= 384), and otherwise a lower bound that approaches the norm from
-    below.  Both stop tests are relative, so the result scales with A wherever
-    its Gram products neither overflow nor underflow.
-
-    A stopped row leaves the stack.  The basis is one (rows, capacity, n)
-    block with room up to the next check, widened for the rows still running,
-    so a stack of rows that stop by step 32 never holds the 384-step basis.
-    A NaN or infinity in a product raises ValueError, naming the step.  The
-    callers guarantee n >= 1, count >= 1 and real products.
-    """
-    start = default_rng(_LANCZOS_SEED).standard_normal(n)
-    v = np.tile(start / np.linalg.norm(start), (count, 1))
-
-    steps = min(n, _LANCZOS_MAX_STEPS)
-    checks = [c for c in _LANCZOS_CHECKS if c < steps] + [steps]
     rows = np.arange(count)
     norms = np.empty(count)
-    # each operator's Lanczos vectors are consecutive rows of its slab, so each
-    # projection reads one block; row j is written before any read, so no zeroing
-    basis = np.empty((count, checks[0], n))
-    alphas = np.empty((count, steps))
-    betas = np.empty((count, steps))
-    # the largest |alpha| so far: the scale of the invariant-subspace test
-    peak = np.zeros(count)
-    lam = np.full(count, -np.inf)
-    for j in range(steps):
-        if j == basis.shape[1]:
-            grown = np.empty((len(rows), checks[checks.index(j) + 1], n))
-            grown[:, :j] = basis
-            basis = grown
-        basis[:, j] = v
-        w = gram(rows, v)
-        alpha = _dots(v, w)
-        step = j + 1
-        # a NaN or infinity anywhere in a product reaches its alpha
-        if not all(np.isfinite(alpha)):
-            raise ValueError(
-                f"the norm needs finite products, got a NaN or infinity at Lanczos step {step}"
-            )
-        alphas[:, j] = alpha
-        w = w - alpha[:, np.newaxis] * v
-        if j > 0:
-            w = w - betas[:, j - 1, np.newaxis] * basis[:, j - 1]
-        # Full reorthogonalization keeps the Ritz values trustworthy: one classical
-        # Gram-Schmidt pass, and a second only where the first cancels most of w.
-        # The reference norm is taken after the three-term recurrence; taken before
-        # it, the guard would fire on nearly every step.
-        span = basis[:, :step]
-        recurrence_norm = np.sqrt(_dots(w, w))
-        w = w - _projection(span, w)
-        beta = np.sqrt(_dots(w, w))
-        again = beta < _REORTH_GUARD * recurrence_norm
-        if any(again):
-            w[again] -= _projection(span[again], w[again])
-            beta[again] = np.sqrt(_dots(w[again], w[again]))
-        betas[:, j] = beta
-        np.maximum(peak, np.abs(alpha), out=peak)
-        # the one stop point, with the one Ritz evaluation per stop or check
-        invariant = beta <= 1e-14 * peak
-        checked = step in checks
-        if checked or any(invariant):
-            ritz = slice(None) if checked else invariant
-            top = _top_ritz(alphas[ritz, :step], betas[ritz, : step - 1])
-            settled = top - lam[ritz] <= _LANCZOS_TOL * top
-            lam[ritz] = top
-            stop = invariant | settled | (step == steps) if checked else invariant
-            if stop.any():
-                norms[rows[stop]] = np.sqrt(np.maximum(lam[stop], 0.0))
-                if stop.all():
-                    break
-                keep = ~stop
-                rows, basis, alphas, betas = rows[keep], basis[keep], alphas[keep], betas[keep]
-                peak, lam, w, beta = peak[keep], lam[keep], w[keep], beta[keep]
-        v = w / beta[:, np.newaxis]
-    return norms
-
-
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x_r . y_r for each row r, the BLAS dot that a 1-D `x @ y` takes."""
-    return np.matmul(x[:, np.newaxis, :], y[:, :, np.newaxis])[:, 0, 0]
-
-
-def _projection(span: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(S_r @ w_r) @ S_r for each row r: the two BLAS gemv calls that a 2-D S_r takes."""
-    coefficients = np.matmul(span, w[:, :, np.newaxis]).swapaxes(1, 2)
-    return np.matmul(coefficients, span)[:, 0]
-
-
-def _top_ritz(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of each symmetric tridiagonal of a stack, one stacked `eigvalsh`.
-
-    `diag` is (count, k) and `off` (count, k - 1).  eigvalsh reads only the
-    lower triangle: an off-diagonal placed above the diagonal would be
-    ignored without any error.
-    """
-    count, k = diag.shape
-    tridiagonal = np.zeros((count, k, k))
-    i = np.arange(k)
-    tridiagonal[:, i, i] = diag
-    tridiagonal[:, i[1:], i[:-1]] = off
-    return np.linalg.eigvalsh(tridiagonal)[:, -1]
+    x = np.full((count, n), n**-0.5)
+    theta = np.zeros(count)
+    for _ in range(_POWER_STEPS):
+        gram_x = product(conjugates, product(symbols, x))
+        grown = np.sqrt((gram_x * gram_x).sum(axis=1))
+        settled = grown - theta <= _POWER_TOL * grown
+        theta = grown
+        if settled.any():
+            norms[rows[settled]] = np.sqrt(theta[settled])
+            keep = ~settled
+            if not keep.any():
+                return norms
+            rows, theta, gram_x = rows[keep], theta[keep], gram_x[keep]
+            symbols, conjugates = symbols[keep], conjugates[keep]
+        x = gram_x / theta[:, np.newaxis]
+    unsettled = ", ".join(str(powers[row]) for row in rows)
+    raise ComputationError(
+        f"the norm of power k = {unsettled} did not settle in {_POWER_STEPS} power-iteration steps"
+    )
 
 
 def _is_triangular(m: np.ndarray) -> bool:

@@ -295,6 +295,10 @@ def _run_suite(suite: str, trials: int, seed: int, tol) -> SuiteReport:
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    # `_trial_seed` wraps trial indices mod 2^63, and past it the trial ranges'
+    # lengths overflow
+    if trials >= 2**63:
+        raise ValueError(f"trials must be below 2^63, got {trials}")
     if not isinstance(tol, ToleranceConfig):
         raise TypeError(f"tol must be a ToleranceConfig, got {tol!r}")
     checks, dims = _SUITES[suite]

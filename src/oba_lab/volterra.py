@@ -12,10 +12,11 @@ Neither V_n nor T_n = (I + V_n)^(-1) is ever formed.  Under both rules T_n is
 lower-triangular Toeplitz with a closed-form first column.  The witness's
 `deviation` ||T_n - I|| is the top root of a scalar secular equation at every
 n, about 0.5 ms on 2 vCPUs, and so is ||T_n|| up to n = 512.  Above that
-||T_n|| is a capped Lanczos norm on the O(n) products of `_resolvent_matvecs`,
-about 0.2 s at n = 4096, kept because the benchmark reference pins it.
-`growth` norms the closed-form columns of (T_n - I)^k, many powers per
-Lanczos stack.
+||T_n|| is the package's one Lanczos run, `_capped_lanczos_norm`: 384 steps on
+the O(n) products of `_resolvent_matvecs`, about 0.16 s at n = 4096, kept
+because the benchmark reference pins its value.  `growth` norms the
+closed-form columns of (T_n - I)^k by power iteration, many powers per stack
+(`spectral._lower_toeplitz_norms`).
 """
 
 from __future__ import annotations
@@ -26,17 +27,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# numpy 2 loads its random submodule lazily, on first attribute access;
+# importing it here keeps that cost out of the first capped norm.
+from numpy.random import default_rng
+
 from .algebra import membership_slack
 from .operators import DEFAULT_TOLERANCE, ToleranceConfig, _integer
-from .spectral import _gram_lanczos, _lower_toeplitz_norms
+from .spectral import _lower_toeplitz_norms
 
 MAX_GRID = 4096
 # Entries per stack of `growth` columns: the powers are normed max(1, 4096 // n)
-# at a time, 16 at n = 256, 4 at 1024 and 1 at 4096.  A stack's Lanczos basis
-# holds this many entries per step, so its memory is that of one column at
-# n = 4096.  On 2 vCPUs, twice the budget took 1024/256 from 0.095 to 0.088 s
-# but raised the `growth` benchmark's peak RSS by 9% instead of 4.5%.
+# at a time, 16 at n = 256, 4 at 1024 and 1 at 4096.  A stack's FFT buffers
+# peak at about 0.5 MiB (tracemalloc), doubling with the budget.  On 2 vCPUs
+# (in-process medians), stacks took 256/64 from 20-28 ms one column at a time
+# to 4-7 ms, and 1024/256 from 93-117 ms to 69-85 ms; twice or four times the
+# budget gained nothing measurable.
 _STACK_ELEMENTS = 4096
+_LANCZOS_SEED = 0x5EED
+_LANCZOS_STEPS = 384
+# Reorthogonalize a second time when the first pass leaves less than this
+# fraction of the vector's norm ("twice is enough", Kahan-Parlett).
+_REORTH_GUARD = 2**-0.5
 
 
 class QuadratureRule(enum.Enum):
@@ -153,6 +164,64 @@ def _resolvent_matvecs(n: int, rule: QuadratureRule):
     return matvec, rmatvec
 
 
+def _capped_lanczos_norm(n: int, gram) -> float:
+    """Largest singular value of a real n x n operator A, n > 384, from 384 Lanczos steps.
+
+    `gram(x)` returns A^T A x; `build_witness` passes the products of
+    `_resolvent_matvecs` for `norm_T` above n = 512.  The norm is the square
+    root of the top Ritz value of a Lanczos iteration on A^T A from a seeded
+    start, with full reorthogonalization: one classical Gram-Schmidt pass,
+    and a second only where the first cancels most of the vector.  The
+    iteration runs exactly `_LANCZOS_STEPS` steps unless it reaches an
+    invariant subspace, where its Ritz value is exact, and takes the Ritz
+    value once, from one `eigvalsh` of the tridiagonal (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 13).  Short of the whole space that
+    value is a lower bound, which approaches the norm from below: for the
+    witness products at n = 4096 it reads about 1.35e-11 low.  A NaN or
+    infinity in a product raises ValueError, naming the step.
+    """
+    start = default_rng(_LANCZOS_SEED).standard_normal(n)
+    v = start / np.linalg.norm(start)
+    # the Lanczos vectors are consecutive rows, so each projection reads one block
+    basis = np.empty((_LANCZOS_STEPS, n))
+    alphas = np.empty(_LANCZOS_STEPS)
+    betas = np.empty(_LANCZOS_STEPS)
+    # the largest |alpha| so far: the scale of the invariant-subspace test
+    peak = 0.0
+    for j in range(_LANCZOS_STEPS):
+        basis[j] = v
+        w = gram(v)
+        alpha = v @ w
+        # a NaN or infinity anywhere in a product reaches alpha
+        if not np.isfinite(alpha):
+            raise ValueError(
+                f"the norm needs finite products, got a NaN or infinity at Lanczos step {j + 1}"
+            )
+        alphas[j] = alpha
+        w = w - alpha * v
+        if j > 0:
+            w = w - betas[j - 1] * basis[j - 1]
+        # The reference norm is taken after the three-term recurrence; taken
+        # before it, the guard would fire on nearly every step.
+        span = basis[: j + 1]
+        recurrence_norm = np.sqrt(w @ w)
+        w = w - (span @ w) @ span
+        beta = np.sqrt(w @ w)
+        if beta < _REORTH_GUARD * recurrence_norm:
+            w = w - (span @ w) @ span
+            beta = np.sqrt(w @ w)
+        betas[j] = beta
+        peak = max(peak, abs(alpha))
+        if beta <= 1e-14 * peak:
+            break
+        v = w / beta
+    steps = j + 1
+    # eigvalsh reads only the lower triangle: an off-diagonal placed above the
+    # diagonal would be ignored without any error
+    tridiagonal = np.diag(alphas[:steps]) + np.diag(betas[: steps - 1], -1)
+    return math.sqrt(max(np.linalg.eigvalsh(tridiagonal)[-1], 0.0))
+
+
 @dataclass(frozen=True)
 class WitnessReport:
     """All facts verified for one (n, rule) resolvent element (T_n, xi)."""
@@ -195,11 +264,7 @@ def build_witness(
         norm_t = _witness_norm(n, rule, 0.0)
     else:
         matvec, rmatvec = _resolvent_matvecs(n, rule)
-
-        def gram(rows, x):  # a block of one, from the 1-D products
-            return rmatvec(matvec(x[0]))[np.newaxis]
-
-        norm_t = float(_gram_lanczos(n, 1, gram)[0])
+        norm_t = _capped_lanczos_norm(n, lambda x: rmatvec(matvec(x)))
     deviation = _witness_norm(n, rule, 1.0)
     radius = abs(1.0 / _resolvent_symbol(n, rule)[0] - 1.0)
     xi = max(1.0, norm_t)
@@ -267,13 +332,15 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     with s the norm of the normalized matrix, a_k = k exp((log s + top) / k),
     which neither overflows nor underflows.
 
+    The normalized column is positive, so its Gram matrix is entrywise
+    positive and power iteration takes s (`spectral._lower_toeplitz_norms`).
     The columns are normed max(1, 4096 // n) at a time (`_STACK_ELEMENTS`), as
-    one lockstep Lanczos stack (`spectral._lower_toeplitz_norms`).  Most
-    powers stop within 4 to 7 steps, so one norm at a time pays the
-    per-call cost of each step, not its arithmetic; a stack pays it once for
-    all its columns, and gives each s bitwise its `lower_toeplitz_norm`.  The
-    budget keeps a stack's Lanczos vectors at 4096 entries per step, the size
-    of one vector at n = 4096.
+    one stacked iteration.  Every power measured settles within 14 steps,
+    most in 4 or 5 (k = 1, whose spectral gap is the narrowest, takes 12 from
+    n = 20 on), so one norm at a time pays the per-call cost of each FFT, not
+    its arithmetic; a stack pays it once for all its columns, and gives each s
+    bitwise its value alone.  A power still unsettled after 64 steps raises
+    ComputationError naming k.
     """
     n, k_max = _check_grid(n), _integer("k_max", k_max)
     if k_max < 1:
@@ -303,6 +370,6 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
             )
             tops.append(log_c.max())
             column[k:] = np.exp(log_c - tops[-1])
-        for k, norm, top in zip(ks, _lower_toeplitz_norms(columns), tops):
+        for k, norm, top in zip(ks, _lower_toeplitz_norms(columns, ks), tops):
             out[k - 1] = k * np.exp((np.log(norm) + top) / k)
     return out

@@ -30,7 +30,6 @@ PROMISED = [
     "eigenvalues",
     "geq_unit",
     "growth_diagnostic",
-    "lower_toeplitz_norm",
     "prod_involution",
     "prod_mul",
     "prod_norm",

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from oba_lab import cli
+from oba_lab import cli, suites
 from oba_lab.cli import main
 
 WITNESS_KEYS = [
@@ -132,6 +132,30 @@ def test_out_of_range_grid_is_usage_error(argv, capsys):
     assert code == 2
     assert "grid size must be in [1, 4096]" in err
 
+
+
+@pytest.mark.parametrize("trials", [2**63, 99999999999999999999])
+@pytest.mark.parametrize("command", ["axioms", "rigidity"])
+def test_trial_counts_from_2_to_the_63_are_usage_errors(command, trials, monkeypatch, capsys):
+    """Trial indices wrap mod 2^63 in the trial seeds, and past it the trial
+    ranges' lengths overflow: the count is named before any worker forks."""
+
+    def no_tally(tasks):
+        raise AssertionError("a group ran before trials was checked")
+
+    monkeypatch.setattr(suites, "_tally_groups", no_tally)
+    code, out, err = run_cli([command, "--trials", str(trials), "--no-timestamp"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: trials must be below 2^63, got {trials}\n"
+
+
+def test_the_largest_trial_count_is_accepted(monkeypatch):
+    """2^63 - 1 trials pass the check; the groups are stubbed, since running
+    them would take forever."""
+    monkeypatch.setattr(suites, "_tally_groups", lambda tasks: [(0, 1.0)] * len(tasks))
+    report = suites.run_axiom_suite(trials=2**63 - 1)
+    assert report.trials == 2**63 - 1 and report.all_passed
 
 def test_unknown_rule_is_usage_error(capsys):
     code, _, _ = run_cli(["witness", "--rule", "simpson"], capsys)

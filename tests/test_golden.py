@@ -121,7 +121,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 @pytest.mark.parametrize("name", ["witness-600-left.json", "growth-64-16.json"])
 def test_golden_output_without_scipy(name):
-    """The runtime needs numpy only: the Lanczos norms run with scipy unimportable."""
+    """The runtime needs numpy only: the witness's Lanczos norm and the growth
+    power iteration run with scipy unimportable."""
     argv, expected_code = CASES[name]
     result = _fresh_interpreter(
         "import sys; sys.modules['scipy'] = None\n"

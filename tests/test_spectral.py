@@ -1,6 +1,5 @@
 """Tests for norms, eigenvalue sets, and the spectrum-union law."""
 
-import collections
 import math
 import re
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal, toeplitz
+from scipy.linalg import toeplitz
 
 from oba_lab import (
     MatrixOperator,
@@ -17,10 +16,10 @@ from oba_lab import (
     cluster_radius,
     eigenvalues,
     growth_diagnostic,
-    lower_toeplitz_norm,
     spectral_norm,
 )
 from oba_lab import spectral
+from oba_lab.errors import ComputationError
 from oba_lab.spectral import spectral_norms
 from oba_lab.volterra import _resolvent_matvecs
 from oracle import (
@@ -48,11 +47,6 @@ EPS = np.finfo(np.float64).eps
 def within_the_stated_bound(norm, svd, dim):
     """`spectral_norms`' documented forward error, (dim + 1)^2 eps relative, against the SVD."""
     return abs(norm - svd) <= (dim + 1) ** 2 * EPS * svd
-
-
-def lanczos_norm(n, gram):
-    """`spectral._gram_lanczos` as a block of one, from the 1-D Gram product `gram`."""
-    return float(spectral._gram_lanczos(n, 1, lambda rows, x: gram(x[0])[np.newaxis])[0])
 
 
 def random_matrix(seed, dim, complex_input):
@@ -171,252 +165,92 @@ class TestSpectralNorm:
         assert within_the_stated_bound(spectral_norm(a), svd, 513)
         assert spectral_norm(MatrixOperator(a)) == spectral_norm(a)
 
-    def test_lanczos_path_matches_dense_svd_real(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((600, 600))
-        assert lanczos_norm(600, lambda x: a.T @ (a @ x)) == pytest.approx(
-            np.linalg.svd(a, compute_uv=False)[0], rel=1e-11
-        )
-
-    def test_lanczos_path_zero_matrix(self):
-        a = np.zeros((600, 600))
-        assert lanczos_norm(600, lambda x: a.T @ (a @ x)) == 0.0
-
-    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e9, 1e12])
-    def test_lanczos_norms_scale_with_the_operator(self, scale):
-        """Both Lanczos stop tests are relative, so a small operator is not cut short.
-
-        Scales beyond about 1e+-150, where the Gram products over- or underflow,
-        are out of scope.
-        """
-        a = np.random.default_rng(5).standard_normal((600, 600)) * scale
-        assert lanczos_norm(600, lambda x: a.T @ (a @ x)) == pytest.approx(
-            np.linalg.svd(a, compute_uv=False)[0], rel=1e-13, abs=0
-        )
-        column = np.random.default_rng(1024).standard_normal(1024) * scale
-        assert lower_toeplitz_norm(column) == pytest.approx(
-            np.linalg.svd(toeplitz(column, np.zeros(1024)), compute_uv=False)[0], rel=1e-13, abs=0
-        )
-
-    def test_lanczos_second_reorthogonalization_pass(self):
-        """Gram eigenvalues 1 and 1e-16 make the first projection cancel most of a
-        Lanczos vector, which is the input that runs the guarded second pass."""
-        d = np.concatenate([np.ones(300), np.full(300, 1e-8)])
-        assert lanczos_norm(600, lambda x: d * (d * x)) == pytest.approx(
-            np.linalg.svd(np.diag(d), compute_uv=False)[0], rel=1e-14, abs=0
-        )
-
-    def test_gram_lanczos_runs_the_dense_loop(self):
-        a = np.random.default_rng(5).standard_normal((600, 600))
-        first = lanczos_norm(600, lambda x: a.T @ (a @ x))
-        # the start vector is seeded, so equal products give a bitwise-equal Ritz value
-        assert lanczos_norm(600, lambda x: a.T @ (a @ x)) == first
-        # up to dim 384 the iteration may span the whole space, so the Ritz value
-        # is the norm up to rounding; at 385 and 512 it settles within the 384-step cap
-        for dim in (1, 2, 64, 385, 512):
-            block = a[:dim, :dim].copy()
-            norm = lanczos_norm(dim, lambda x: block.T @ (block @ x))
-            assert norm == pytest.approx(spectral_norm(block), rel=1e-14, abs=0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("dim", [64, 600])
-    def test_gram_lanczos_rejects_non_finite_products(self, dim, bad):
-        """Where the Lanczos loop may span the whole space (64) and where it is
-        capped (600); alone, and as the one bad row of a stack of three."""
-
-        def product(x):
-            # writes the value instead of multiplying by it, so the test's own
-            # operator raises no floating-point warning (inf * 0)
-            y = x.copy()
-            y[dim // 2] = bad
-            return y
-
-        with pytest.raises(ValueError, match="needs finite products.* at Lanczos step 1$"):
-            lanczos_norm(dim, lambda x: product(product(x)))
-
-        d = np.linspace(1.0, 2.0, dim)
-        steps = []
-
-        def stack(rows, x):
-            # three rows of one diagonal operator, all still running at step 3,
-            # where row 1's product turns bad
-            steps.append(len(rows))
-            y = d * (d * x)
-            if len(steps) == 3:
-                y[1] = product(y[1])
-            return y
-
-        with pytest.raises(ValueError, match="needs finite products.* at Lanczos step 3$"):
-            spectral._gram_lanczos(dim, 3, stack)
-        assert steps == [3, 3, 3]
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 64, 256, 512, 513, 1024])
-    def test_lower_toeplitz_norm_is_the_assembled_norm(self, dim):
-        """FFT-product Lanczos at every dim against the SVD of the assembled matrix."""
-        # the column of (T - I)^3 on the left-endpoint grid, as `growth` norms it
-        t = resolvent_at_identity(volterra_matrix(dim, QuadratureRule.LEFT_ENDPOINT))
-        power = t.entries - np.eye(dim)
-        growth_column = power @ (power @ power[:, 0])
-        random_column = np.random.default_rng(dim).standard_normal(dim)
-        for column in (growth_column, random_column):
-            dense = spectral_norm(toeplitz(column, np.zeros(dim)))
-            assert lower_toeplitz_norm(column) == pytest.approx(dense, rel=1e-13, abs=0)
-
-    def test_lower_toeplitz_norm_of_degenerate_columns(self):
-        """A 1 x 1 matrix, the zero matrix, and a lone corner entry, whose Krylov
-        spaces are at most two-dimensional."""
-        assert lower_toeplitz_norm([3.0]) == 3.0
-        assert lower_toeplitz_norm(np.zeros(16)) == 0.0
-        for dim in (2, 16, 600):
-            corner = np.zeros(dim)
-            corner[-1] = -2.5
-            assert lower_toeplitz_norm(corner) == pytest.approx(2.5, rel=1e-14, abs=0)
-
-    @pytest.mark.parametrize(
-        "column, clause",
-        [
-            ([], "nonempty real vector"),
-            ([[1.0, 0.0], [0.0, 1.0]], "nonempty real vector"),
-            ([1.0, 1j], "nonempty real vector"),
-            ([np.nan], "finite entries"),
-            ([1.0, np.inf], "finite entries"),
-        ],
-    )
-    def test_lower_toeplitz_norm_rejects_malformed_columns(self, column, clause):
-        with pytest.raises(ValueError, match=clause):
-            lower_toeplitz_norm(column)
-
-    @pytest.mark.parametrize(
-        "k, psd",
-        [(1, False), (2, False), (3, False), (16, False), (128, False), (384, False), (384, True)],
-    )
-    def test_top_ritz_is_the_top_eigenvalue_of_the_tridiagonal(self, k, psd):
-        """Against scipy's tridiagonal solver; an off-diagonal on the side that
-        numpy's eigvalsh does not read would fail every k > 1."""
-        rng = np.random.default_rng(k)
-        diag, off = rng.standard_normal(k), rng.standard_normal(k - 1)
-        if psd:
-            # B^T B for the lower bidiagonal B with this diagonal and subdiagonal,
-            # the shape of a Lanczos Gram tridiagonal
-            diag, off = diag * diag + np.append(off * off, 0.0), diag[1:] * off
-        expected = eigh_tridiagonal(diag, off, eigvals_only=True)[-1]
-        top = spectral._top_ritz(diag[np.newaxis], off[np.newaxis])
-        assert top.shape == (1,)
-        assert top[0] == pytest.approx(expected, rel=1e-14, abs=0)
-
-    def test_top_ritz_of_a_stack_is_each_tridiagonal_alone(self):
-        """One stacked eigvalsh: each row's value is bitwise its block-of-one value."""
-        rng = np.random.default_rng(7)
-        diag, off = rng.standard_normal((5, 32)), rng.standard_normal((5, 31))
-        singles = [spectral._top_ritz(d[np.newaxis], o[np.newaxis])[0] for d, o in zip(diag, off)]
-        assert spectral._top_ritz(diag, off).tolist() == singles
-
-    @pytest.fixture
-    def ritz_sizes(self, monkeypatch):
-        """The tridiagonal size of each row that a stacked `_top_ritz` call
-        evaluates, in call order and, within a call, row order."""
-        seen = []
-        top_ritz = spectral._top_ritz
-
-        def recording(diag, off):
-            seen.extend([diag.shape[1]] * diag.shape[0])
-            return top_ritz(diag, off)
-
-        monkeypatch.setattr(spectral, "_top_ritz", recording)
-        return seen
-
-    @pytest.mark.parametrize("n", [512, 513, 600])
-    def test_capped_run_checks_at_16_and_32_then_the_cap(self, n, ritz_sizes):
-        """The left witness's `norm_T` runs to its step cap: checks at 16 and
-        32 and once more at the cap, min(n, 384) steps."""
-        matvec, rmatvec = _resolvent_matvecs(n, QuadratureRule.LEFT_ENDPOINT)
-        lanczos_norm(n, lambda x: rmatvec(matvec(x)))
-        assert ritz_sizes == [16, 32, 384]
-
-    def test_each_way_to_stop_takes_the_ritz_value_once(self, ritz_sizes):
-        """One `_top_ritz` call per check step, plus one where the loop stops
-        unless it stops at a check: at the cap, at an invariant subspace or on
-        a settled Ritz value."""
-
-        def sizes(n, gram):
-            ritz_sizes.clear()
-            lanczos_norm(n, gram)
-            return list(ritz_sizes)
-
-        rng = np.random.default_rng(1)
-        dense5 = rng.standard_normal((5, 5))
-        # the cap is the whole space, before the first check
-        assert sizes(5, lambda x: dense5.T @ (dense5 @ x)) == [5]
-        # the cap comes after one check
-        matvec, rmatvec = _resolvent_matvecs(20, QuadratureRule.LEFT_ENDPOINT)
-        assert sizes(20, lambda x: rmatvec(matvec(x))) == [16, 20]
-        # an invariant subspace before the first check
-        rank2 = rng.standard_normal((100, 2)) @ rng.standard_normal((2, 100))
-        assert sizes(100, lambda x: rank2.T @ (rank2 @ x)) == [3]
-        # two checks, then the cap
-        dense40 = rng.standard_normal((40, 40))
-        assert sizes(40, lambda x: dense40.T @ (dense40 @ x)) == [16, 32, 40]
-        # a Ritz value that settles only after step 32 runs to the cap, here the
-        # whole space, where it is the norm up to rounding
-        dense100 = rng.standard_normal((100, 100))
-        assert sizes(100, lambda x: dense100.T @ (dense100 @ x)) == [16, 32, 100]
-        assert lanczos_norm(100, lambda x: dense100.T @ (dense100 @ x)) == pytest.approx(
-            np.linalg.svd(dense100, compute_uv=False)[0], rel=1e-14, abs=0
-        )
-        # a top singular value ten times the rest settles by the first check,
-        # so the second stops the loop
-        diag = np.append(np.linspace(0.0, 1.0, 99), 10.0)
-        assert sizes(100, lambda x: diag * diag * x) == [16, 32]
-
-    def test_growth_norms_take_the_ritz_value_once_per_stop(self, ritz_sizes):
-        """Of the 64 norms at 256/64, 60 stop at an invariant subspace by 30
-        steps and 4 settle at the check at 32: one evaluation per check, plus
-        one where a norm stops between checks."""
-        growth_diagnostic(256, 64)
-        assert collections.Counter(ritz_sizes) == {
-            5: 31, 6: 13, 7: 8, 8: 1, 9: 1, 10: 1, 11: 2, 14: 1, 16: 6, 19: 1, 30: 1, 32: 4
-        }
-
-    def test_stacked_rows_are_their_single_row_norms_bitwise(self, ritz_sizes):
-        """One stack at n = 600 that stops each way: a zero column at an
-        invariant subspace at step 1, the column of (T - I)^3 on the left grid
-        at the settled check at 32, and the trapezoid T_n's column at the
-        384-step cap.  Each row leaves the stack when it stops, and its norm is
-        bitwise its block-of-one norm."""
-        n = 600
-        left, _ = _resolvent_matvecs(n, QuadratureRule.LEFT_ENDPOINT)
-        trapezoid, _ = _resolvent_matvecs(n, QuadratureRule.TRAPEZOID)
-        first = np.eye(n)[0]
-        power = first
-        for _ in range(3):
-            power = left(power) - power
-        columns = np.stack([np.zeros(n), power, trapezoid(first)])
-        stacked = spectral._lower_toeplitz_norms(columns)
-        assert ritz_sizes == [1, 16, 16, 32, 32, 384]
-        assert stacked.tolist() == [lower_toeplitz_norm(column) for column in columns]
-        # and in the other order, where the longest run is the first row
-        assert spectral._lower_toeplitz_norms(columns[::-1]).tolist() == stacked[::-1].tolist()
-
-    def test_a_stack_past_numpys_elision_threshold_keeps_each_rows_bits(self):
-        """Sixteen growth columns at n = 1024 make (16, 1025) complex spectra, 256
-        KiB and up, where numpy would multiply into a temporary FFT in place and
-        round differently from the same product on one row."""
-        n = 1024
-        left, _ = _resolvent_matvecs(n, QuadratureRule.LEFT_ENDPOINT)
-        power = np.eye(n)[0]
-        columns = []
-        for _ in range(16):
-            power = left(power) - power
-            columns.append(power / np.abs(power).max())
-        columns = np.stack(columns)
-        singles = [lower_toeplitz_norm(column) for column in columns]
-        assert spectral._lower_toeplitz_norms(columns).tolist() == singles
-
     @pytest.mark.parametrize("dim", [2, 16, 513])
     def test_stacked_norms_are_the_per_matrix_norms_bitwise(self, dim):
         rng = np.random.default_rng(dim)
         stack = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
         assert spectral_norms(stack).tolist() == [spectral_norm(m) for m in stack]
+
+
+def toeplitz_norm(column, k=1):
+    """`spectral._lower_toeplitz_norms` as a block of one."""
+    return float(spectral._lower_toeplitz_norms(np.asarray(column, dtype=float)[np.newaxis], [k])[0])
+
+
+def left_powers(n, count):
+    """The first columns of (T_n - I)^k, k = 1..count, on the left-endpoint grid,
+    each scaled to a largest magnitude of 1 as `growth` scales them."""
+    left, _ = _resolvent_matvecs(n, QuadratureRule.LEFT_ENDPOINT)
+    power, columns = np.eye(n)[0], []
+    for _ in range(count):
+        power = left(power) - power
+        columns.append(power / np.abs(power).max())
+    return np.stack(columns)
+
+
+class TestToeplitzNorms:
+    """Power iteration on FFT products: the norms of the `growth` powers."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 64, 256, 512, 513, 1024])
+    def test_is_the_assembled_norm(self, dim):
+        """Against the norm of the assembled matrix; at dim <= 3 the column of
+        (T - I)^3 is zero, and so is its norm."""
+        t = resolvent_at_identity(volterra_matrix(dim, QuadratureRule.LEFT_ENDPOINT))
+        power = t.entries - np.eye(dim)
+        column = power @ (power @ power[:, 0])
+        dense = spectral_norm(toeplitz(column, np.zeros(dim)))
+        assert toeplitz_norm(column, 3) == pytest.approx(dense, rel=1e-13, abs=0)
+
+    def test_degenerate_columns(self):
+        """A 1 x 1 matrix, the zero matrix, and a lone corner entry."""
+        assert toeplitz_norm([3.0]) == 3.0
+        assert toeplitz_norm(np.zeros(16)) == 0.0
+        for dim in (2, 16, 600):
+            corner = np.zeros(dim)
+            corner[-1] = -2.5
+            assert toeplitz_norm(corner) == pytest.approx(2.5, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n, count", [(7, 6), (256, 16), (600, 6), (4096, 2)])
+    def test_stacked_rows_are_their_block_of_one_values_bitwise(self, n, count):
+        """Rows that settle at different steps leave the stack one by one; each
+        norm is bitwise its value alone, in either row order."""
+        columns = left_powers(n, count)
+        ks = list(range(1, count + 1))
+        singles = [toeplitz_norm(column, k) for column, k in zip(columns, ks)]
+        assert spectral._lower_toeplitz_norms(columns, ks).tolist() == singles
+        assert spectral._lower_toeplitz_norms(columns[::-1], ks[::-1]).tolist() == singles[::-1]
+
+    def test_a_stack_past_numpys_elision_threshold_keeps_each_rows_bits(self):
+        """Sixteen growth columns at n = 1024 make (16, 1025) complex spectra, 256
+        KiB and up, where numpy would multiply into a temporary FFT in place and
+        round differently from the same product on one row."""
+        columns = left_powers(1024, 16)
+        singles = [toeplitz_norm(column, k) for k, column in enumerate(columns, 1)]
+        assert spectral._lower_toeplitz_norms(columns, range(1, 17)).tolist() == singles
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_no_growth_power_comes_near_the_step_cap(self, n, monkeypatch):
+        """Every power at k_max = n - 1 settles within 16 steps (measured: at
+        most 14), a quarter of the cap, or growth_diagnostic raises."""
+        monkeypatch.setattr(spectral, "_POWER_STEPS", 16)
+        assert np.all(np.isfinite(growth_diagnostic(n, n - 1)))
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_a_sign_changing_column_reaches_the_cap_and_raises(self, n):
+        """The column (1, -1, 0, ...) has top singular values O(1/n^2) apart, so
+        the estimate still grows after the cap: an error naming the power, not
+        a silent lower bound."""
+        column = np.zeros(n)
+        column[:2] = 1.0, -1.0
+        with pytest.raises(ComputationError, match="power k = 5 did not settle in 64 power-iteration"):
+            spectral._lower_toeplitz_norms(column[np.newaxis], [5])
+
+    def test_a_stack_names_every_unsettled_power(self):
+        bidiagonal = np.zeros(64)
+        bidiagonal[:2] = 1.0, -1.0
+        columns = np.stack([left_powers(64, 1)[0], bidiagonal, bidiagonal])
+        with pytest.raises(ComputationError, match="power k = 8, 9 did not settle"):
+            spectral._lower_toeplitz_norms(columns, [7, 8, 9])
 
 
 class TestEigenvalues:
