@@ -13,7 +13,7 @@ from numbers import Number
 import numpy as np
 
 from ._seeding import seeded_draws
-from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig
+from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig, _integer
 from .spectral import spectral_norm, spectral_norms
 
 
@@ -159,6 +159,7 @@ def random_cone_stack(seeds, dim: int, scales) -> tuple[np.ndarray, np.ndarray, 
     (count, dim, dim) matrix parts, the real scalar parts, and the spectral
     norm of each matrix part.
     """
+    dim = _integer("dim", dim)
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     count = len(seeds)

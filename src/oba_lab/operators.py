@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -90,7 +92,9 @@ class ToleranceConfig:
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if not isinstance(value, Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._seeding import seeded_draws
 from .errors import ComputationError, PreconditionError
-from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig, _validated_square
+from .operators import DEFAULT_TOLERANCE, MatrixOperator, ToleranceConfig, _integer, _validated_square
 from .spectral import cluster_radius, eigenvalues, spectral_norms
 
 
@@ -46,6 +46,7 @@ def random_strict_nilpotent_stack(seeds, dim: int, scales) -> np.ndarray:
     each matrix is bitwise the one-element case.  `scales` is one scale or
     one per seed.
     """
+    dim = _integer("dim", dim)
     if dim < 2:
         raise ValueError(f"dim must be at least 2 for a nonzero strict triangle, got {dim}")
     count = len(seeds)
@@ -79,6 +80,7 @@ def random_unitary_stack(seeds, dim: int) -> np.ndarray:
     Matrix i comes from the `seeded_draws` row of seeds[i]: the real, then
     the imaginary parts.
     """
+    dim = _integer("dim", dim)
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     normals = seeded_draws(seeds, 2 * dim * dim)[0].reshape(-1, 2, dim, dim)

@@ -14,9 +14,10 @@ lower-triangular Toeplitz with a closed-form first column.  The witness's
 n, about 0.5 ms on 2 vCPUs, and so is ||T_n|| up to n = 512.  Above that
 ||T_n|| is the package's one Lanczos run, `_capped_lanczos_norm`: 384 steps on
 the O(n) products of `_resolvent_matvecs`, about 0.16 s at n = 4096, kept
-because the benchmark reference pins its value.  `growth` norms the
-closed-form columns of (T_n - I)^k by power iteration, many powers per stack
-(`spectral._lower_toeplitz_norms`).
+because the benchmark reference pins its value.  `growth` writes (T_n - I)^k
+as (-h)^k times a binomial Toeplitz matrix, norms that matrix's closed-form
+column by power iteration, many powers per stack
+(`spectral._lower_toeplitz_norms`), and puts h back after the k-th root.
 """
 
 from __future__ import annotations
@@ -322,24 +323,23 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     continuous counterpart.  Requires k_max < n: from k = n on, the powers
     vanish identically and the normalized quantity is meaningless.
 
-    No matrix and no power is formed.  With h = 1/n, T - I is the
-    lower-triangular Toeplitz matrix of the symbol -hz / (1 - (1 - h)z), so
-    (T - I)^k is the one of (-hz)^k (1 - (1 - h)z)^(-k): its first column has
-    c_m = (-h)^k C(m - 1, k - 1) (1 - h)^(m - k) for m >= k and 0 above.  The
-    column is built in log space, with lgamma = log Gamma, summed in this order,
-    log|c_m| = lgamma(m) - lgamma(m - k + 1) - lgamma(k) + (k log h + (m - k) log1p(-h)),
+    No matrix and no power is formed.  With h = 1/n and q = 1 - h, T - I is
+    the lower-triangular Toeplitz matrix of the symbol -hz / (1 - qz), so
+    (T - I)^k = (-h)^k B_k, with B_k the one of z^k (1 - qz)^(-k): its first
+    column has b_m = C(m - 1, k - 1) q^(m - k) for m >= k and 0 above.  The
+    column is built in log space, with lgamma = log Gamma,
+    log b_m = lgamma(m) - lgamma(m - k + 1) - lgamma(k) + (m - k) log q,
     and divided by its largest entry exp(top) so that its maximum is 1; then
-    with s the norm of the normalized matrix, a_k = k exp((log s + top) / k),
-    which neither overflows nor underflows.
+    with s the norm of the scaled matrix, a_k = k s^(1/k) exp(top / k) / n,
+    which neither overflows nor underflows.  The grid factor h = 1/n enters
+    after the k-th root, as one division: for k = 1, top is 0 and a_1 = s / n,
+    and for k = n - 1 the column is the single entry 1 and a_(n-1) = (n - 1)/n.
 
-    The normalized column is positive, so its Gram matrix is entrywise
-    positive and power iteration takes s (`spectral._lower_toeplitz_norms`).
-    The columns are normed max(1, 4096 // n) at a time (`_STACK_ELEMENTS`), as
-    one stacked iteration.  Every power measured settles within 14 steps,
-    most in 4 or 5 (k = 1, whose spectral gap is the narrowest, takes 12 from
-    n = 20 on), so one norm at a time pays the per-call cost of each FFT, not
-    its arithmetic; a stack pays it once for all its columns, and gives each s
-    bitwise its value alone.  A power still unsettled after 64 steps raises
+    The scaled column is positive, so its Gram matrix is entrywise positive
+    and power iteration takes s (`spectral._lower_toeplitz_norms`), as one
+    stacked iteration over max(1, 4096 // n) columns (`_STACK_ELEMENTS`) that
+    gives each s bitwise its value alone.  Every power measured settles within
+    14 steps, most in 4 or 5; one still unsettled after 64 steps raises
     ComputationError naming k.
     """
     n, k_max = _check_grid(n), _integer("k_max", k_max)
@@ -347,8 +347,7 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     if k_max >= n:
         raise ValueError(f"k_max must be smaller than the grid size, got k_max={k_max}, n={n}")
-    h = 1.0 / n
-    log_h, log_q = np.log(h), np.log1p(-h)
+    log_q = math.log1p(-1.0 / n)
     # log_fact[m] = lgamma(m) = log (m - 1)!, index 0 unused.  math.lgamma, not
     # scipy.special.gammaln: the runtime depends on numpy only.
     log_fact = np.array([math.inf] + [math.lgamma(m) for m in range(1, n)])
@@ -359,17 +358,11 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
         columns = np.zeros((len(ks), n))
         tops = []
         for column, k in zip(columns, ks):
-            # rows m = k..n-1, so m - k + 1 runs over 1..n-k
-            # the two large lgamma terms (about 6000 at n = 1024) cancel before the
-            # small ones are added: added to k log h first, they err by up to 1e-12
-            log_c = (
-                log_fact[k:]
-                - log_fact[1 : n - k + 1]
-                - log_fact[k]
-                + (k * log_h + np.arange(n - k) * log_q)
-            )
-            tops.append(log_c.max())
+            # rows m = k..n-1, so m - k + 1 runs over 1..n-k; the two large
+            # lgamma terms (about 6000 at n = 1024) cancel before log q is added
+            log_c = log_fact[k:] - log_fact[1 : n - k + 1] - log_fact[k] + np.arange(n - k) * log_q
+            tops.append(float(log_c.max()))
             column[k:] = np.exp(log_c - tops[-1])
         for k, norm, top in zip(ks, _lower_toeplitz_norms(columns, ks), tops):
-            out[k - 1] = k * np.exp((np.log(norm) + top) / k)
+            out[k - 1] = k * float(norm) ** (1 / k) * math.exp(top / k) / n
     return out

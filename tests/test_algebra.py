@@ -22,6 +22,7 @@ from oba_lab import (
     spectral_norm,
     unit_element,
 )
+from oba_lab.algebra import random_cone_stack
 
 TOL = ToleranceConfig()
 
@@ -87,6 +88,11 @@ class TestConstruction:
             ToleranceConfig(abs_tol=-1.0)
         with pytest.raises(ValueError):
             ToleranceConfig(rel_tol=np.inf)
+
+    @pytest.mark.parametrize(("field", "value"), [("abs_tol", "1e-9"), ("rel_tol", None)])
+    def test_non_numeric_tolerance_is_a_type_error_naming_the_field(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be a real number, got {value!r}"):
+            ToleranceConfig(**{field: value})
 
 
 class TestProductOps:
@@ -195,6 +201,15 @@ class TestRandomConeElement:
             random_cone_element(1, 0, 1.0)
         with pytest.raises(ValueError):
             random_cone_element(1, 2, -1.0)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda dim: random_cone_element(1, dim, 1.0), lambda dim: random_cone_stack([1, 2], dim, 1.0)],
+        ids=["random_cone_element", "random_cone_stack"],
+    )
+    def test_non_integer_dim_is_a_type_error_naming_it(self, draw):
+        with pytest.raises(TypeError, match="dim must be an integer, got 3.0"):
+            draw(3.0)
 
 
 class TestConeAxioms:

@@ -161,6 +161,21 @@ class TestRandomUnitary:
             random_unitary_stack([1, 2], dim)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda dim: random_strict_nilpotent(1, dim, 1.0),
+        lambda dim: random_strict_nilpotent_stack([1, 2], dim, 1.0),
+        lambda dim: random_unitary(1, dim),
+        lambda dim: random_unitary_stack([1, 2], dim),
+    ],
+    ids=["random_strict_nilpotent", "random_strict_nilpotent_stack", "random_unitary", "random_unitary_stack"],
+)
+def test_non_integer_dim_is_a_type_error_naming_it(draw):
+    with pytest.raises(TypeError, match="dim must be an integer, got 3.0"):
+        draw(3.0)
+
+
 class TestCheckRigidity:
     def test_identity_passes(self):
         verdict = check_rigidity(MatrixOperator.identity(3), TOL)

@@ -479,11 +479,23 @@ class TestGrowthDiagnostic:
     def test_first_term_is_deviation_norm(self, n):
         """a_1 = ||T_n - I|| under the left rule: the witness deviation's closed form.
 
-        Measured within 3 ulps at these sizes.  Adding k log h to the column's
-        lgamma terms before they cancel reads 428 and 921 ulps high at
-        n = 1024 and 4096."""
+        a_1 is s / n, s the norm of the scaled column (1, q, q^2, ...): no
+        logarithm of h reaches it.  Measured within 4 ulps at every n up to
+        4096 (worst at n = 1085)."""
         deviation = volterra._witness_norm(n, QuadratureRule.LEFT_ENDPOINT, 1.0)
-        assert abs(growth_diagnostic(n, 1)[0] - deviation) <= 8 * math.ulp(deviation)
+        assert abs(growth_diagnostic(n, 1)[0] - deviation) <= 4 * math.ulp(deviation)
+
+    def test_first_term_is_deviation_norm_across_the_grid_sizes(self):
+        """The same 4-ulp bound on every 41st n up to 4096."""
+        for n in range(2, volterra.MAX_GRID + 1, 41):
+            deviation = volterra._witness_norm(n, QuadratureRule.LEFT_ENDPOINT, 1.0)
+            assert abs(growth_diagnostic(n, 1)[0] - deviation) <= 4 * math.ulp(deviation), n
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 500, 1024])
+    def test_last_power_gives_exactly_n_minus_one_over_n(self, n):
+        """(T - I)^(n-1) has the single entry (-h)^(n-1), so a_(n-1) is (n - 1)/n,
+        correctly rounded."""
+        assert growth_diagnostic(n, n - 1)[-1] == (n - 1) / n
 
     def test_rejects_k_max_at_grid_size(self):
         with pytest.raises(ValueError):
