@@ -183,8 +183,15 @@ def _capped_lanczos_norm(n: int, gram) -> float:
     """
     start = default_rng(_LANCZOS_SEED).standard_normal(n)
     v = start / np.linalg.norm(start)
-    # the Lanczos vectors are consecutive rows, so each projection reads one block
-    basis = np.empty((_LANCZOS_STEPS, n))
+    # The Lanczos vectors are consecutive rows, so each projection reads one
+    # block.  The block is padded with zero rows to a multiple of 8 rows, whose
+    # coefficients are exact zeros: OpenBLAS's threaded gemv splits the rows
+    # among its threads, and at n = 4096 on random data every row count that is
+    # a multiple of 8 gave the same bytes at 1 and 2 threads, while 204 of the
+    # 384 unpadded counts did not.  On the witness products, padding to 4 left
+    # 39 of 144 sampled norms thread-dependent, and padding to 16 gave the
+    # bytes of 8.
+    basis = np.zeros((_LANCZOS_STEPS, n))
     alphas = np.empty(_LANCZOS_STEPS)
     betas = np.empty(_LANCZOS_STEPS)
     # the largest |alpha| so far: the scale of the invariant-subspace test
@@ -204,8 +211,9 @@ def _capped_lanczos_norm(n: int, gram) -> float:
             w = w - betas[j - 1] * basis[j - 1]
         # The reference norm is taken after the three-term recurrence; taken
         # before it, the guard would fire on nearly every step.
-        span = basis[: j + 1]
         recurrence_norm = np.sqrt(w @ w)
+        # the rows so far and up to 7 zero rows, a multiple of 8 (see `basis`)
+        span = basis[: -(-(j + 1) // 8) * 8]
         w = w - (span @ w) @ span
         beta = np.sqrt(w @ w)
         if beta < _REORTH_GUARD * recurrence_norm:

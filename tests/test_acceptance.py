@@ -8,6 +8,7 @@ human-readable checklist.
 import time
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from oba_lab import (
     MatrixOperator,
@@ -22,7 +23,7 @@ from oba_lab import (
     run_axiom_suite,
     run_rigidity_suite,
 )
-from oba_lab.volterra import _resolvent_matvecs
+from oba_lab.volterra import _resolvent_symbol
 from oracle import (
     multiset_distance,
     product_spectrum,
@@ -179,9 +180,12 @@ def test_criterion_8_resolvent_residual():
     cases += [(2, QuadratureRule.LEFT_ENDPOINT), (256, QuadratureRule.LEFT_ENDPOINT)]
     worst = 0.0
     for n, rule in cases:
-        # the package's T_n, column by column from its O(n) products
-        matvec, _ = _resolvent_matvecs(n, rule)
-        t = np.column_stack([matvec(e) for e in np.eye(n)])
+        # the package's T_n: lower-triangular Toeplitz with the closed-form column
+        # c_0 = 1/a, c_k = (r - 1)/a * r^(k-1) of its symbol, r = b/a
+        a, b = _resolvent_symbol(n, rule)
+        r = b / a
+        column = np.concatenate([[1.0 / a], (r - 1.0) / a * r ** np.arange(n - 1)])
+        t = toeplitz(column, np.zeros(n))
         worst = max(worst, resolvent_residual(volterra_matrix(n, rule), t))
     ok = worst <= 1e-10
     _report(8, ok, f"worst ||(I+V)T - I|| over {len(cases)} grids: {worst:.2e}")

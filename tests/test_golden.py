@@ -1,7 +1,10 @@
 """Golden CLI outputs: stdout and exit code must match the stored files byte for byte.
 
-Every case runs `oba_lab.cli.main` with `--no-timestamp`.  After an intended
-change of output, rewrite the files with
+Every case runs `oba_lab.cli.main` in-process with `--no-timestamp`, at
+whatever BLAS thread count the process has: no golden depends on it at 1 or 2
+threads, the witness's capped Lanczos norm above n = 512 included (README,
+numerics notes), and a test below compares that norm at 1 and 2 threads in
+fresh interpreters.  After an intended change of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -52,33 +55,13 @@ CASES = {
 }
 
 
-# Above n = 512, norm_T is the capped Lanczos norm, whose reorthogonalization
-# sums in an order set by the BLAS thread count (README, numerics notes).  These
-# cases were recorded with 2 BLAS threads, the count perfbench uses, so each runs
-# in a fresh interpreter with 2.  OpenBLAS caps its thread variables at the CPUs
-# the process may run on, so on one CPU the case also asks numpy's bundled
-# OpenBLAS for 2 threads through its own call.
-BLAS_THREADS = 2
-THREAD_PINNED = {
-    name for name in CASES if name.startswith(("witness-600-", "witness-4096-", "converge-"))
-}
-_PIN_OPENBLAS = f"""\
-import ctypes, glob, os, numpy
-libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
-for lib in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
-    set_threads = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads({BLAS_THREADS})
-"""
-
-
-def _run(argv) -> tuple[int, str]:
+def _run(argv) -> tuple[int, bytes]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:
             main([*argv, "--no-timestamp"])
         except SystemExit as exc:
-            return exc.code, out.getvalue()
+            return exc.code, out.getvalue().encode("utf-8")
     raise AssertionError("main() returned without calling sys.exit")
 
 
@@ -91,24 +74,9 @@ def _fresh_interpreter(code: str, env: dict | None = None) -> subprocess.Complet
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
 
 
-def _run_case(name) -> tuple[int, bytes]:
-    """Exit code and stdout of a golden case, thread-pinned if it is in THREAD_PINNED."""
-    argv, _ = CASES[name]
-    if name not in THREAD_PINNED:
-        code, out = _run(argv)
-        return code, out.encode("utf-8")
-    threads = str(BLAS_THREADS)
-    result = _fresh_interpreter(
-        f"{_PIN_OPENBLAS}from oba_lab.cli import main\nmain({[*argv, '--no-timestamp']!r})",
-        {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads},
-    )
-    assert not result.stderr, result.stderr.decode()
-    return result.returncode, result.stdout
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
-    code, out = _run_case(name)
+    code, out = _run(CASES[name][0])
     assert code == CASES[name][1]
     assert out == (GOLDEN_DIR / name).read_bytes()
 
@@ -133,14 +101,39 @@ def test_golden_output_without_scipy(name):
     assert result.stdout == (GOLDEN_DIR / name).read_bytes()
 
 
+def test_witness_norms_match_at_one_and_two_blas_threads():
+    """The capped Lanczos norm_T gives the same bytes under 1 and 2 BLAS threads.
+
+    n = 2048 (both rules) and 4096 left printed another last digit under one
+    thread before the reorthogonalization block was padded to a multiple of 8
+    rows.  OpenBLAS caps its thread variable at the CPUs the process may run
+    on, so on one CPU both runs take one thread and this compares nothing new.
+    """
+    runs = "\n".join(
+        f"try:\n    main({['witness', '--n', n, '--rule', rule, '--no-timestamp']!r})\n"
+        "except SystemExit as exc:\n    print('exit', exc.code)"
+        for n in ("2048", "4096")
+        for rule in ("left", "trapezoid")
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        result = _fresh_interpreter(
+            f"from oba_lab.cli import main\n{runs}", {"OPENBLAS_NUM_THREADS": threads}
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        outputs.append(result.stdout)
+    assert outputs[0].count(b"exit 0\n") == 4
+    assert outputs[0] == outputs[1]
+
+
 def test_every_golden_file_has_a_case():
     assert {p.name for p in GOLDEN_DIR.iterdir()} == set(CASES)
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, (_, expected_code) in sorted(CASES.items()):
-        code, out = _run_case(name)
+    for name, (argv, expected_code) in sorted(CASES.items()):
+        code, out = _run(argv)
         if code != expected_code:
             sys.exit(f"{name}: exit code {code}, expected {expected_code}")
         (GOLDEN_DIR / name).write_bytes(out)
