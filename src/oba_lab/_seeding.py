@@ -107,7 +107,9 @@ def seeded_draws(seeds, normals: int, uniforms: int = 0) -> tuple[np.ndarray, np
     parts of a matrix) are also the draws of consecutive calls, and
     `low + (high - low) * u` of a uniform u is bitwise `uniform(low, high)`.
     Every seed is validated before the first draw: TypeError unless it is an
-    integer, ValueError unless 0 <= seed < 2**128.
+    integer, ValueError unless 0 <= seed < 2**128.  The first call loads
+    `numpy.random` (numpy 2 imports it on first attribute access); a pooled
+    suite loads it in the parent before forking, so its workers share it.
     """
     states = _pcg64_states(seeds)
     gauss = np.empty((len(states), normals))

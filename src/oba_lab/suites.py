@@ -277,6 +277,10 @@ def _tally_groups(tasks) -> list[tuple[int, float]]:
         return list(map(_group_tally, tasks))
     import multiprocessing  # here, not at module level: the import alone takes about 19 ms
 
+    # loaded once in the parent, so the forked workers share its pages instead
+    # of each importing it (about 6 MB) at its first draw
+    import numpy.random
+
     # leaving the block terminates and joins the workers, also when a task raised
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         return pool.map(_group_tally, tasks, chunksize=1)

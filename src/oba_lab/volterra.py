@@ -14,9 +14,11 @@ lower-triangular Toeplitz with a closed-form first column.  The witness's
 n, about 0.5 ms on 2 vCPUs, and so is ||T_n|| up to n = 512.  Above that
 ||T_n|| is the package's one Lanczos run, `_capped_lanczos_norm`: 384 steps on
 the O(n) products of `_resolvent_matvecs`, about 0.16 s at n = 4096, kept
-because the benchmark reference pins its value.  `growth` writes (T_n - I)^k
-as (-h)^k times a binomial Toeplitz matrix, norms that matrix's closed-form
-column by power iteration, many powers per stack
+because the benchmark reference pins its value.  Its seeded start is the
+module's one random draw, so the first capped norm loads `numpy.random`
+(about 6 MB and 8 ms); the other paths never do.  `growth` writes
+(T_n - I)^k as (-h)^k times a binomial Toeplitz matrix, norms that matrix's
+closed-form column by power iteration, many powers per stack
 (`spectral._lower_toeplitz_norms`), and puts h back after the k-th root.
 """
 
@@ -27,10 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# numpy 2 loads its random submodule lazily, on first attribute access;
-# importing it here keeps that cost out of the first capped norm.
-from numpy.random import default_rng
 
 from .algebra import membership_slack
 from .operators import DEFAULT_TOLERANCE, ToleranceConfig, _integer
@@ -179,9 +177,11 @@ def _capped_lanczos_norm(n: int, gram) -> float:
     Symmetric Eigenvalue Problem, ch. 13).  Short of the whole space that
     value is a lower bound, which approaches the norm from below: for the
     witness products at n = 4096 it reads about 1.35e-11 low.  A NaN or
-    infinity in a product raises ValueError, naming the step.
+    infinity in a product raises ValueError, naming the step.  numpy 2 loads
+    `numpy.random` on first attribute access, so the first call loads it for
+    the seeded start.
     """
-    start = default_rng(_LANCZOS_SEED).standard_normal(n)
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     v = start / np.linalg.norm(start)
     # The Lanczos vectors are consecutive rows, so each projection reads one
     # block.  The block is padded with zero rows to a multiple of 8 rows, whose

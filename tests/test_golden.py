@@ -87,6 +87,47 @@ def test_cli_import_leaves_scipy_unloaded():
     assert result.stdout == b"False\n"
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    result = _fresh_interpreter("import sys, oba_lab.cli; print('numpy.random' in sys.modules)")
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b"False\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["growth"], ["witness", "--n", "512"], ["converge", "--ns", "16,512"]]
+)
+def test_commands_that_draw_nothing_run_without_numpy_random(argv):
+    """growth, and the witness and converge up to n = 512 (closed-form norms),
+    draw no random number: they print the in-process bytes with `numpy.random`
+    unimportable."""
+    code, out = _run(argv)
+    result = _fresh_interpreter(
+        "import sys; sys.modules['numpy.random'] = None\n"
+        "from oba_lab.cli import main\n"
+        f"main({[*argv, '--no-timestamp']!r})"
+    )
+    assert code == 0
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == out
+
+
+def test_pooled_suite_loads_numpy_random_before_forking():
+    """A pooled suite run imports `numpy.random` in the parent, which draws
+    nothing itself, so the forked workers share it; the report is the inline one."""
+    result = _fresh_interpreter(
+        "import sys\n"
+        "from oba_lab import suites\n"
+        "print('numpy.random' in sys.modules)\n"
+        "suites._cpu_count = lambda: 2\n"
+        "pooled = suites.run_axiom_suite(trials=14, seed=0)\n"
+        "print('numpy.random' in sys.modules)\n"
+        "suites._cpu_count = lambda: 1\n"
+        "print(repr(pooled) == repr(suites.run_axiom_suite(trials=14, seed=0)))"
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b"False\nTrue\nTrue\n"
+
+
 @pytest.mark.parametrize("name", ["witness-600-left.json", "growth-64-16.json"])
 def test_golden_output_without_scipy(name):
     """The runtime needs numpy only: the witness's Lanczos norm and the growth
