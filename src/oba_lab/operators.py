@@ -53,10 +53,6 @@ class MatrixOperator:
     def identity(cls, dim: int) -> "MatrixOperator":
         return cls(np.eye(dim))
 
-    @classmethod
-    def zeros(cls, dim: int) -> "MatrixOperator":
-        return cls(np.zeros((dim, dim)))
-
     def adjoint(self) -> "MatrixOperator":
         """Conjugate transpose."""
         return MatrixOperator(self.entries.conj().T)

@@ -246,7 +246,7 @@ class TestConeAxioms:
         x = random_cone_element(seed, dim, scale)
         k = random_cone_element(seed + 1, dim, scale)
         y = x + k
-        zero = ProductElement(MatrixOperator.zeros(dim), 0)
+        zero = ProductElement(MatrixOperator(np.zeros((dim, dim))), 0)
         assert cone_leq(zero, x, TOL) and cone_leq(x, y, TOL)
         assert prod_norm(x) <= prod_norm(y) + TOL.abs_tol
 

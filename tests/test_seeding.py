@@ -13,7 +13,7 @@ import pytest
 
 from oba_lab import random_cone_element, random_strict_nilpotent, random_unitary
 from oba_lab import algebra, rigidity, suites
-from oba_lab._seeding import _pcg64_states, seeded_draws
+from oba_lab._seeding import _seed_words, seeded_draws
 from oba_lab.algebra import random_cone_stack
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 - 1)
@@ -52,15 +52,19 @@ def test_trial_seed_enumeration_matches_the_suites(monkeypatch):
     assert drawn == _default_trial_seeds(42, 70)
 
 
-def test_states_match_numpy():
+def test_words_match_numpy():
+    """The block hash gives each seed's `SeedSequence` words, byte for byte;
+    numpy seeds PCG64 from them itself."""
     rand = random.Random(12)
     seeds = set(EDGE_SEEDS) | _default_trial_seeds(42, 10_000)
     seeds |= {rand.getrandbits(bits) for bits in range(1, 129) for _ in range(8)}
     seeds = sorted(seeds)
     assert len(seeds) >= 100_000
-    for seed, (state, inc) in zip(seeds, _pcg64_states(seeds), strict=True):
-        expected = np.random.PCG64(seed).state["state"]
-        assert (state, inc) == (expected["state"], expected["inc"]), seed
+    words = _seed_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words, strict=True):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert row.tobytes() == expected.tobytes(), seed
 
 
 DRAW_SEEDS = list(EDGE_SEEDS) + [random.Random(3).getrandbits(63) for _ in range(200)]

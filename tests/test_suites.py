@@ -91,10 +91,16 @@ def test_suites_respect_custom_tolerance():
     loose = run_axiom_suite(trials=50, seed=3, tol=ToleranceConfig(abs_tol=1e-6))
     assert (loose.abs_tol, loose.rel_tol) == (1e-6, 1e-9)
     assert loose.results[0].name == "additivity" and loose.results[0].worst_slack == 1e-6
-    exact = run_axiom_suite(trials=50, seed=3, tol=ToleranceConfig(rel_tol=0.0))
+    exact_tol = ToleranceConfig(rel_tol=0.0)
+    exact = run_axiom_suite(trials=50, seed=3, tol=exact_tol)
     assert (exact.abs_tol, exact.rel_tol) == (1e-9, 0.0)
     failures = {r.name: r.failures for r in exact.results}
-    assert failures == {name: 38 if name == "cstar_identity" else 0 for name in AXIOM_PROPERTIES}
+    # which trials fail is a rounding coin flip that depends on the BLAS kernel,
+    # so the count comes from the per-trial oracle under the same kernel
+    prop = [r.name for r in exact.results].index("cstar_identity")
+    cstar = sum(_oracle_cstar(3, prop, t, exact_tol) < 0 for t in range(50))
+    assert cstar > 0
+    assert failures == {name: cstar if name == "cstar_identity" else 0 for name in AXIOM_PROPERTIES}
 
 
 def test_nonpositive_trials_rejected():
@@ -220,14 +226,14 @@ def _oracle_ice_cream(seed, prop, t):
     return slack
 
 
-def _oracle_cstar(seed, prop, t):
+def _oracle_cstar(seed, prop, t, tol=TOL):
     dim, scale = DIMS[t % len(DIMS)], SCALES[t % len(SCALES)]
     rng = np.random.default_rng(_seed(seed, prop, t))
     mat = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) * scale
     xi = complex(rng.standard_normal(), rng.standard_normal()) * scale
     x = ProductElement(MatrixOperator(mat), xi)
     square = prod_norm(x) ** 2
-    return TOL.rel_tol * square - abs(prod_norm(prod_mul(prod_involution(x), x)) - square)
+    return tol.rel_tol * square - abs(prod_norm(prod_mul(prod_involution(x), x)) - square)
 
 
 def _oracle_unit(seed, prop, t):
