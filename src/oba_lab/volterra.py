@@ -17,8 +17,9 @@ the O(n) products of `_resolvent_matvecs`, about 0.16 s at n = 4096, kept
 because the benchmark reference pins its value.  Its seeded start is the
 module's one random draw, so the first capped norm loads `numpy.random`
 (about 6 MB and 8 ms); the other paths never do.  `growth` writes
-(T_n - I)^k as (-h)^k times a binomial Toeplitz matrix, norms that matrix's
-closed-form column by power iteration, many powers per stack
+(T_n - I)^k as (-h)^k times a binomial Toeplitz matrix, cuts that matrix's
+closed-form column to the lower corner that carries its norm to 2^-60
+relative, norms the corners by power iteration, many powers per stack
 (`spectral._lower_toeplitz_norms`), and puts h back after the k-th root.
 """
 
@@ -35,12 +36,13 @@ from .operators import DEFAULT_TOLERANCE, ToleranceConfig, _integer
 from .spectral import _lower_toeplitz_norms
 
 MAX_GRID = 4096
-# Entries per stack of `growth` columns: the powers are normed max(1, 4096 // n)
-# at a time, 16 at n = 256, 4 at 1024 and 1 at 4096.  A stack's FFT buffers
-# peak at about 0.5 MiB (tracemalloc), doubling with the budget.  On 2 vCPUs
-# (in-process medians), stacks took 256/64 from 20-28 ms one column at a time
-# to 4-7 ms, and 1024/256 from 93-117 ms to 69-85 ms; twice or four times the
-# budget gained nothing measurable.
+# Entries per stack of `growth` corners: a stack of width W (a power of two, at
+# most n) holds max(1, 4096 // W) powers, 16 at W = 256, 4 at 1024 and 1 at
+# 4096.  A stack's FFT buffers peak at about 0.5 MiB (tracemalloc), doubling
+# with the budget.  On 2 vCPUs (in-process medians), stacks took 256/64 from
+# 12 ms one corner at a time to 3.4 ms, 1024/256 from 60 ms to 28 ms and
+# 4096/4095 from 0.72 s to 0.34 s; twice or four times the budget gained
+# nothing measurable below 4096/4095, and 10-15% there.
 _STACK_ELEMENTS = 4096
 _LANCZOS_SEED = 0x5EED
 _LANCZOS_STEPS = 384
@@ -344,11 +346,33 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     and for k = n - 1 the column is the single entry 1 and a_(n-1) = (n - 1)/n.
 
     The scaled column is positive, so its Gram matrix is entrywise positive
-    and power iteration takes s (`spectral._lower_toeplitz_norms`), as one
-    stacked iteration over max(1, 4096 // n) columns (`_STACK_ELEMENTS`) that
-    gives each s bitwise its value alone.  Every power measured settles within
-    14 steps, most in 4 or 5; one still unsettled after 64 steps raises
-    ComputationError naming k.
+    and power iteration takes s (`spectral._lower_toeplitz_norms`).  Only the
+    column's lower corner is normed.  For k >= 2 the ratio
+    b_(m+1)/b_m = q m/(m - k + 1) is at least 1 while m <= n(k - 1), which
+    holds for every row, so the column increases and its largest entry is the
+    last; for k = 1 it falls from 1 to q^(n-2) > 1/e.  The entries below
+    2^-60/n of the largest therefore form a prefix, and they are cut: their l1
+    mass is under 2^-60.  The W entries left are the column of a W x W
+    lower-triangular Toeplitz matrix, the lower-left corner of B_k without the
+    cut entries.  A lower Toeplitz matrix's norm is at most its column's l1
+    norm, and the scaled norm is at least its largest entry, 1, so the cut
+    moves s by at most 2^-60 relative and a_k by 2^-60/k.  W falls as k grows
+    (median 187 at 256/64, 305 at 1024/256, 67 at 1024/1023 and 72 at
+    4096/4095).
+
+    The corners are normed in stacks, built in k order one stack at a time.  A
+    stack is as wide as its first corner rounded up to a power of two (at
+    most n) and holds max(1, 4096 // width) powers (`_STACK_ELEMENTS`); each
+    narrower corner that follows sits after leading zeros, which keeps its
+    matrix's norm.  A stack's start and width depend on n and k alone, and
+    the stacked iteration gives each s bitwise its value alone, so every a_k
+    is bitwise independent of k_max.  Every power measured settles within 14
+    steps, most in 4 or 5; one still unsettled after 64 steps raises
+    ComputationError naming k.  In-process medians on 2 vCPUs, against every
+    power normed at full width n: 1024/256 takes 27-29 ms against 50-52 ms,
+    4096/256 0.16 s against 0.29 s, 1024/1023 48-56 ms against 0.19-0.20 s
+    and 4096/4095 0.31-0.33 s against 3.8 s; 256/64, nearly all of whose
+    corners round up to 256, stays at about 3.3 ms.
     """
     n, k_max = _check_grid(n), _integer("k_max", k_max)
     if k_max < 1:
@@ -359,18 +383,36 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     # log_fact[m] = lgamma(m) = log (m - 1)!, index 0 unused.  math.lgamma, not
     # scipy.special.gammaln: the runtime depends on numpy only.
     log_fact = np.array([math.inf] + [math.lgamma(m) for m in range(1, n)])
+    # log_steps[j] = j log q, the same products each power would take afresh
+    log_steps = np.arange(n) * log_q
+    # an entry below 2^-60 / n of the largest is cut: n of them weigh under 2^-60
+    log_floor = math.log(2.0**-60 / n)
     out = np.zeros(k_max)
-    stack = max(1, _STACK_ELEMENTS // n)
-    for first in range(1, k_max + 1, stack):
-        ks = range(first, min(first + stack, k_max + 1))
-        columns = np.zeros((len(ks), n))
-        tops = []
-        for column, k in zip(columns, ks):
-            # rows m = k..n-1, so m - k + 1 runs over 1..n-k; the two large
-            # lgamma terms (about 6000 at n = 1024) cancel before log q is added
-            log_c = log_fact[k:] - log_fact[1 : n - k + 1] - log_fact[k] + np.arange(n - k) * log_q
-            tops.append(float(log_c.max()))
-            column[k:] = np.exp(log_c - tops[-1])
-        for k, norm, top in zip(ks, _lower_toeplitz_norms(columns, ks), tops):
+
+    def norm_stack(columns, ks, tops):
+        for k, norm, top in zip(ks, _lower_toeplitz_norms(columns[: len(ks)], ks), tops):
             out[k - 1] = k * float(norm) ** (1 / k) * math.exp(top / k) / n
+
+    # an empty stack of no rows, so the first power starts a stack
+    columns, ks, tops = np.zeros((0, 0)), [], []
+    for k in range(1, k_max + 1):
+        # rows m = k..n-1, so m - k + 1 runs over 1..n-k; the two large
+        # lgamma terms (about 6000 at n = 1024) cancel before log q is added
+        log_c = log_fact[k:] - log_fact[1 : n - k + 1] - log_fact[k] + log_steps[: n - k]
+        top = float(log_c.max())
+        cut = int((log_c >= top + log_floor).argmax())
+        size, width = n - k - cut, columns.shape[1]
+        # a corner wider than its stack, which no (n, k) measured gives (every
+        # n up to 400 and every 37th up to 4096, at every k), starts a stack
+        # of its own rather than overflow this one
+        if len(ks) == len(columns) or size > width:
+            if ks:
+                norm_stack(columns, ks, tops)
+            width = min(n, 1 << (size - 1).bit_length())
+            columns = np.zeros((min(max(1, _STACK_ELEMENTS // width), k_max + 1 - k), width))
+            ks, tops = [], []
+        columns[len(ks), width - size :] = np.exp(log_c[cut:] - top)
+        ks.append(k)
+        tops.append(top)
+    norm_stack(columns, ks, tops)
     return out

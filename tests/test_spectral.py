@@ -228,10 +228,26 @@ class TestToeplitzNorms:
         singles = [toeplitz_norm(column, k) for k, column in enumerate(columns, 1)]
         assert spectral._lower_toeplitz_norms(columns, range(1, 17)).tolist() == singles
 
-    @pytest.mark.parametrize("n", range(2, 65))
+    @pytest.mark.parametrize(("n", "k"), [(64, 16), (256, 64), (600, 8), (1024, 16), (1024, 100)])
+    def test_a_corner_after_leading_zeros_keeps_its_norm(self, n, k):
+        """`growth` norms a narrow corner in a wider stack row, after leading
+        zeros: the matrix is the corner's own in the lower-left, zero elsewhere.
+        Its norm at every wider width, power of two or not, is the corner's
+        own within 1e-15 relative.  The corner is cut as `growth` cuts it, at
+        the first entry of at least 2^-60/n of the largest."""
+        column = left_powers(n, k)[-1]
+        corner = column[np.argmax(np.abs(column) >= 2.0**-60 / n) :]
+        alone = toeplitz_norm(corner, k)
+        for width in (corner.size + 1, 1 << corner.size.bit_length(), 2 * corner.size + 3, n):
+            row = np.zeros(width)
+            row[width - corner.size :] = corner
+            assert abs(toeplitz_norm(row, k) - alone) <= 1e-15 * alone, width
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 1024])
     def test_no_growth_power_comes_near_the_step_cap(self, n, monkeypatch):
         """Every power at k_max = n - 1 settles within 16 steps (measured: at
-        most 14), a quarter of the cap, or growth_diagnostic raises."""
+        most 14, from n = 2 to 200 and at 256, 333, 512, 600, 1000, 1024, 2048
+        and 4096), a quarter of the cap, or growth_diagnostic raises."""
         monkeypatch.setattr(spectral, "_POWER_STEPS", 16)
         assert np.all(np.isfinite(growth_diagnostic(n, n - 1)))
 

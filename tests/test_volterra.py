@@ -561,21 +561,25 @@ class TestGrowthDiagnostic:
                 exact.append(float(k * top ** (mpmath.mpf(1) / k)))
         np.testing.assert_allclose(growth_diagnostic(n, k_max), exact, rtol=1e-14, atol=0)
 
-    def test_largest_grid_allocates_no_square_matrix(self):
+    @pytest.mark.parametrize(("k_max", "limit"), [(64, 32 * 2**20), (4095, 2**20)])
+    def test_largest_grid_allocates_no_square_matrix(self, k_max, limit):
+        """One dense 4096 x 4096 float64 matrix is 128 MiB.  At k_max = 4095 the
+        limit is 1 MiB, which a (k_max, n) block of every power's column (128
+        MiB) would break."""
         tracemalloc.start()
         try:
-            growth_diagnostic(4096, 64)
+            growth_diagnostic(4096, k_max)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20  # one dense 4096 x 4096 float64 matrix is 128 MiB
+        assert peak < limit
 
     @pytest.mark.parametrize(("n", "k_max"), [(1024, 256), (4096, 256)])
     def test_power_iteration_stacks_stay_small(self, n, k_max):
-        """The powers are normed in stacks of max(1, 4096 // n) columns, 4096
-        entries (32 KiB) per block, and power iteration keeps a few blocks and
-        their spectra, with no basis (measured peak: 0.52 to 0.57 MiB), so a
-        stack stays under 1 MiB."""
+        """The corners are normed in stacks of max(1, 4096 // width) powers,
+        at most 4096 entries (32 KiB) per block, and power iteration keeps a
+        few blocks and their spectra, with no basis (measured peak: 0.53 MiB
+        at 1024/256 and 0.60 MiB at 4096/256), so a stack stays under 1 MiB."""
         tracemalloc.start()
         try:
             growth_diagnostic(n, k_max)
@@ -583,3 +587,89 @@ class TestGrowthDiagnostic:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def scaled_log_column(n, k):
+    """log(b_m / max b) for m = k..n-1, as growth_diagnostic builds the column
+    of (T - I)^k / (-h)^k, from lgamma."""
+    log_fact = np.array([math.inf] + [math.lgamma(m) for m in range(1, n)])
+    steps = np.arange(n - k) * math.log1p(-1.0 / n)
+    log_c = log_fact[k:] - log_fact[1 : n - k + 1] - log_fact[k] + steps
+    return log_c - log_c.max()
+
+
+def ratio_log_column(n, k):
+    """The same logarithms by another route: b_k = 1 and
+    b_(m+1)/b_m = q m / (m - k + 1), summed."""
+    m = np.arange(k, n - 1)
+    log_c = np.concatenate([[0.0], np.cumsum(math.log1p(-1.0 / n) + np.log(m / (m - k + 1)))])
+    return log_c - log_c.max()
+
+
+def recorded_corners(monkeypatch, n, k_max, powers):
+    """{k: (row, norm)} for each k in `powers`: the row growth_diagnostic(n,
+    k_max) hands to the power iteration, and the norm it gets back."""
+    seen = {}
+
+    def recording(columns, ks):
+        norms = spectral._lower_toeplitz_norms(columns, ks)
+        for k, row, norm in zip(ks, columns, norms):
+            if k in powers:
+                seen[k] = row.copy(), float(norm)
+        return norms
+
+    monkeypatch.setattr(volterra, "_lower_toeplitz_norms", recording)
+    growth_diagnostic(n, k_max)
+    return seen
+
+
+# (n, k_max, the powers checked): the golden sizes and samples of 4096/4095
+CORNER_CASES = [
+    (64, 16, range(1, 17)),
+    (256, 64, range(1, 65)),
+    (1024, 256, range(1, 257)),
+    (4096, 4095, (1, 2, 3, 64, 194, 512, 1000, 2048, 3000, 4000, 4094, 4095)),
+]
+
+
+class TestGrowthCorners:
+    """Each power's column is cut to the corner that carries its norm."""
+
+    @pytest.mark.parametrize(("n", "k_max", "powers"), CORNER_CASES)
+    def test_the_cut_drops_at_most_2_to_the_minus_60(self, n, k_max, powers, monkeypatch):
+        """The corner is the column's tail, bit for bit, after leading zeros;
+        the entries cut before it weigh at most 2^-60 of the largest, summed
+        from the ratio recurrence rather than from lgamma."""
+        for k, (row, _) in recorded_corners(monkeypatch, n, k_max, set(powers)).items():
+            size = row.size - np.flatnonzero(row)[0]
+            assert np.all(row[: row.size - size] == 0.0)
+            assert row[row.size - size :].tolist() == np.exp(scaled_log_column(n, k)[-size:]).tolist()
+            dropped = np.exp(ratio_log_column(n, k)[: n - k - size])
+            assert dropped.sum() <= 2.0**-60, k
+
+    @pytest.mark.parametrize(("n", "k_max", "powers"), CORNER_CASES)
+    def test_the_corner_norm_is_the_full_column_norm(self, n, k_max, powers, monkeypatch):
+        """Against the whole column at width n, the layout before the cut."""
+        for k, (_, norm) in recorded_corners(monkeypatch, n, k_max, set(powers)).items():
+            column = np.zeros(n)
+            column[k:] = np.exp(scaled_log_column(n, k))
+            full = spectral._lower_toeplitz_norms(column[np.newaxis], [k])[0]
+            assert abs(norm - full) <= 1e-15 * full, k
+
+    @pytest.mark.parametrize(
+        ("n", "k_max", "shorter"),
+        [
+            (64, 63, (1, 15, 16, 17, 62)),
+            (256, 64, (1, 16, 17, 63)),
+            (1024, 256, (1, 4, 5, 255)),
+            (2048, 512, (132, 135, 435)),
+            (4096, 4095, (1, 2, 100, 764, 4094)),
+        ],
+    )
+    def test_each_value_is_bitwise_independent_of_k_max(self, n, k_max, shorter):
+        """A stack's start and width depend on n and k alone.  a_132 and a_435
+        at n = 2048 and a_764 at 4096 read 1 ulp apart at width n and at their
+        corners' width, so a stack laid out by k_max would show there."""
+        values = growth_diagnostic(n, k_max)
+        for b in shorter:
+            assert values[:b].tolist() == growth_diagnostic(n, b).tolist(), b
