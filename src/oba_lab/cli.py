@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .errors import ComputationError
 from .operators import DEFAULT_TOLERANCE, ToleranceConfig
+from .rigidity import _linear_law_constant
 from .suites import run_axiom_suite, run_rigidity_suite
 from .volterra import (
     GrowthReport,
@@ -58,7 +59,7 @@ def _run_witness(args):
         "cone_member": True,
         "geq_unit": False,
     }
-    passed = w.cone_member and not w.geq_unit and w.deviation > args.abs_tol
+    passed = w.cone_member and not w.geq_unit
     return report, targets, passed, [report]
 
 
@@ -71,10 +72,10 @@ def _run_converge(args):
         # accretivity sandwich: spectral-radius lower bound, norm upper bound
         passed = all(1.0 / (1.0 + w.h / 2) <= w.norm_T <= 1.0 for w in witnesses)
     else:
-        # quasinilpotency: spectrum exactly {1}, and the rigidity dichotomy: the
-        # norm exceeds 1 unless T is the identity (T_1 = I, as V_1 = 0)
+        # quasinilpotency: spectrum exactly {1}, and the rigidity linear law
+        # ||T - I|| <= c_n (||T|| - 1), which T_1 = I (V_1 = 0) meets as 0 <= 0
         passed = all(
-            w.cluster_radius == 0.0 and (w.norm_excess > 0 or w.deviation == 0)
+            w.cluster_radius == 0.0 and w.deviation <= _linear_law_constant(w.n) * w.norm_excess
             for w in witnesses
         )
     report = {"rule": rule.value, "rows": table}

@@ -236,7 +236,7 @@ def test_converge_left_gate_passes_at_default_grids(capsys):
 
 
 def test_converge_left_gate_passes_at_n_1(capsys):
-    # T_1 = I: no norm excess and no deviation, the identity side of the dichotomy
+    # T_1 = I: no norm excess and no deviation, so the linear law reads 0 <= 0
     code, out, _ = run_cli(["converge", "--ns", "1,5", "--rule", "left", "--no-timestamp"], capsys)
     assert code == 0
     doc = json.loads(out)
@@ -257,6 +257,24 @@ def test_converge_left_gate_fails_without_norm_excess(monkeypatch, capsys):
     doc = json.loads(out)
     row = doc["report"]["rows"][0]
     assert row["norm_excess"] == 0.0 and row["deviation"] > 0
+    assert doc["passed"] is False
+
+
+def test_converge_left_gate_fails_with_halved_norm_excess(monkeypatch, capsys):
+    """Every row keeps a positive norm excess, so the dichotomy still holds, but
+    half of it is too little for the deviation under the linear law, whose
+    room is about 11% at n = 2 and 30% from n = 8 on."""
+    study = cli.convergence_study
+
+    def halved(ns, rule):
+        return [dataclasses.replace(w, norm_excess=w.norm_excess / 2) for w in study(ns, rule)]
+
+    monkeypatch.setattr(cli, "convergence_study", halved)
+    argv = ["converge", "--ns", "2,5,64", "--rule", "left", "--no-timestamp"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert all(row["norm_excess"] > 0 for row in doc["report"]["rows"])
     assert doc["passed"] is False
 
 
@@ -293,6 +311,20 @@ def test_witness_gate_fails_when_the_tolerance_covers_the_deviation(rule, capsys
     doc = json.loads(out)
     assert doc["report"]["cone_member"] is True and doc["report"]["geq_unit"] is True
     assert doc["passed"] is False
+
+
+@pytest.mark.parametrize("abs_tol", ["0", "1e-9", "0.4", "0.5", "1"])
+@pytest.mark.parametrize("rule", ["trapezoid", "left"])
+@pytest.mark.parametrize("n", [1, 2, 64, 600])
+def test_witness_gate_is_decided_by_geq_unit(n, rule, abs_tol, capsys):
+    """xi_used >= 1, so `not geq_unit` already puts the deviation above abs_tol:
+    the verdict is `not geq_unit` alone."""
+    argv = ["witness", "--n", str(n), "--rule", rule, "--abs-tol", abs_tol, "--no-timestamp"]
+    code, out, _ = run_cli(argv, capsys)
+    doc = json.loads(out)
+    assert doc["passed"] is (not doc["report"]["geq_unit"])
+    assert code == (0 if doc["passed"] else 1)
+
 
 @pytest.mark.parametrize(
     "argv",

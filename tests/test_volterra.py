@@ -656,6 +656,14 @@ class TestGrowthCorners:
             full = spectral._lower_toeplitz_norms(column[np.newaxis], [k])[0]
             assert abs(norm - full) <= 1e-15 * full, k
 
+    def test_corners_never_widen_as_k_grows(self, monkeypatch):
+        """A stack is as wide as its first corner and takes the next ones by
+        count, so a corner wider than an earlier one would not fit its stack."""
+        for n in [*range(2, 301), 512, 1000, 2048, 4096]:
+            rows = recorded_corners(monkeypatch, n, n - 1, set(range(1, n)))
+            widths = [row.size - np.flatnonzero(row)[0] for row, _ in map(rows.get, range(1, n))]
+            assert all(a >= b for a, b in zip(widths, widths[1:])), n
+
     @pytest.mark.parametrize(
         ("n", "k_max", "shorter"),
         [
