@@ -8,7 +8,10 @@ matrix clear of overflow and underflow at any finite scale.  The `growth`
 powers, lower-triangular Toeplitz matrices given by their first columns, are
 normed by power iteration on FFT products, in stacks: their Gram matrices
 are entrywise positive, so the iteration converges fast by Perron-Frobenius,
-and a stack makes one FFT call per step for all its columns.
+and a stack makes one FFT call per step for all its columns.  Each column
+starts from A^T 1, takes transforms of the least 2^a or 3 * 2^a its width
+needs, and stops once a Kato-Temple bracket on its top eigenvalue, with the
+trace bounding the second, is at most 1e-15 wide relative.
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ from .operators import _validated_square
 # dimension takes the Gram eigenvalue path, so the split no longer marks a
 # change of method.
 _SVD_MAX_DIM = 512
-# A power-iteration norm stops once its estimate grows by at most this much,
-# relative, in one step.
+# A power-iteration norm stops once its Kato-Temple bracket on the top
+# eigenvalue of A^T A, [rho, rho + ||r||^2 / (2 rho - tr)], is at most this
+# wide relative to rho.
 _POWER_TOL = 1e-15
 # The power-iteration steps a Toeplitz norm may take before it raises
-# ComputationError.  Every growth power measured settles within 14 (n = 2..160,
-# 200, 333, 512 and 1000 at k_max = n - 1, 2048/512, 4096/64); the cap stands
-# in for the silent lower bound an unsettled estimate would be.
+# ComputationError.  Every growth power measured settles within 13 (n = 3;
+# at most 12 at n = 4 and 11 from n = 5 to 200 and at 256, 333, 512, 600,
+# 1000, 1024, 2048 and 4096 at k_max = n - 1, 16384/256 and 65536/16), most
+# within 2 or 3; the cap stands in for the silent lower bound an unsettled
+# estimate would be.
 _POWER_STEPS = 64
 
 
@@ -87,6 +93,12 @@ def spectral_norms(stack) -> np.ndarray:
     return np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[:, -1]), exponent)
 
 
+def _fft_size(m: int) -> int:
+    """The least 2^a or 3 * 2^a that is at least m >= 1: a length pocketfft transforms fast."""
+    power = 1 << (m - 1).bit_length()
+    return 3 * power // 4 if 3 * power // 4 >= m else power
+
+
 def _lower_toeplitz_norms(columns: np.ndarray, powers) -> np.ndarray:
     """Norms of the lower-triangular Toeplitz matrices whose first columns are the rows of a block.
 
@@ -94,19 +106,32 @@ def _lower_toeplitz_norms(columns: np.ndarray, powers) -> np.ndarray:
     as every `growth` column is (a zero row gives 0); `powers` gives the power k
     of each row, which the step-cap error names.  The products with each
     matrix A and its transpose are row-wise FFT convolution and correlation
-    at the first power of two of at least 2n - 1, so no wraparound occurs.
-    No matrix is formed.
+    at the least 2^a or 3 * 2^a of at least 2n - 1 (`_fft_size`), so no
+    wraparound occurs.  No matrix is formed.
 
-    Each norm is the square root of the top eigenvalue of A^T A, by power
-    iteration from the uniform vector x: each step takes G x = A^T A x and
-    its norm theta, an estimate that grows toward the top eigenvalue, and
-    sets x = G x / theta.  A column of one sign makes G entrywise positive,
-    so by Perron-Frobenius its top eigenvalue is simple and the uniform start
-    is not orthogonal to its eigenvector; the growth powers' wide spectral
-    gaps settle every estimate within a few steps.  A row stops, and leaves
-    the stack, once theta grows by at most `_POWER_TOL` relative in a step.
-    A row still running after `_POWER_STEPS` steps raises ComputationError
-    naming its power, as does a NaN or infinity, which never settles.  A
+    Each norm is the square root of the top eigenvalue of G = A^T A, by power
+    iteration from x = A^T 1 / ||A^T 1||, the reversed prefix sums of the
+    column (one cumsum, no FFT; a zero column keeps the uniform start).  A
+    column of one sign makes G entrywise positive, so by Perron-Frobenius its
+    top eigenvalue is simple and A^T 1, of one sign too, is not orthogonal to
+    its eigenvector; the growth powers' wide spectral gaps settle every row
+    within a few steps.  Each step takes g = G x, rho = x . g and the
+    residual r = g - rho x, and sets x = g / ||g||.  Since G is positive
+    semidefinite and rho <= lambda_1, tr(G) - rho >= lambda_2, where
+    tr(G) = sum_m (n - m) c_m^2 costs O(n) per row.  So whenever
+    2 rho - tr(G) > 0, Kato-Temple (Kato 1949; Parlett, The Symmetric
+    Eigenvalue Problem, ch. 10) brackets
+    rho <= lambda_1 <= rho + ||r||^2 / (2 rho - tr(G)).  A row settles, and
+    leaves the stack, once 2 rho - tr(G) >= 0 and
+    ||r||^2 <= `_POWER_TOL` rho (2 rho - tr(G)), so the bracket is at most
+    `_POWER_TOL` wide relative to rho; this reads the residual of the product
+    just taken, where a stop on a stalled estimate takes one product more.
+    It reports sqrt(||g||), and rho <= ||g|| <= lambda_1, so ||g|| lies in
+    the bracket too.  A zero column settles at 0 in the first step, with
+    g = 0 and tr(G) = 0.  A column whose trace is above twice its top
+    eigenvalue, such as (1, -1, 0, ...), never gets a bracket: a row still
+    running after `_POWER_STEPS` steps raises ComputationError naming its
+    power, as does a NaN or infinity, which never settles.  A
     row's arithmetic is the same FFT calls and row sums it makes alone, so
     each norm is bitwise its value as a block of one.  The caller sets the
     stack size by the memory it allows: a stack holds a few (count, n)
@@ -114,7 +139,7 @@ def _lower_toeplitz_norms(columns: np.ndarray, powers) -> np.ndarray:
     """
     count, n = columns.shape
     # numpy.fft, not scipy.fft: the runtime depends on numpy only
-    size = 1 << (2 * n - 2).bit_length()
+    size = _fft_size(2 * n - 1)
     symbols = rfft(columns, size)
     conjugates = symbols.conj()
 
@@ -127,21 +152,27 @@ def _lower_toeplitz_norms(columns: np.ndarray, powers) -> np.ndarray:
 
     rows = np.arange(count)
     norms = np.empty(count)
-    x = np.full((count, n), n**-0.5)
-    theta = np.zeros(count)
+    # ||A||_F^2: the entry c_m lies on the n - m places of its diagonal
+    trace = (columns * columns * np.arange(n, 0, -1)).sum(axis=1)
+    # A^T 1, each row's prefix sums reversed; a zero row starts uniform
+    x = np.cumsum(columns, axis=1)[:, ::-1]
+    x[~x.any(axis=1)] = 1.0
+    x = x / np.sqrt((x * x).sum(axis=1))[:, np.newaxis]
     for _ in range(_POWER_STEPS):
         gram_x = product(conjugates, product(symbols, x))
-        grown = np.sqrt((gram_x * gram_x).sum(axis=1))
-        settled = grown - theta <= _POWER_TOL * grown
-        theta = grown
+        rho = (x * gram_x).sum(axis=1)
+        residual = gram_x - rho[:, np.newaxis] * x
+        gap = 2 * rho - trace
+        settled = (gap >= 0) & ((residual * residual).sum(axis=1) <= _POWER_TOL * rho * gap)
+        length = np.sqrt((gram_x * gram_x).sum(axis=1))
         if settled.any():
-            norms[rows[settled]] = np.sqrt(theta[settled])
+            norms[rows[settled]] = np.sqrt(length[settled])
             keep = ~settled
             if not keep.any():
                 return norms
-            rows, theta, gram_x = rows[keep], theta[keep], gram_x[keep]
+            rows, trace, gram_x, length = rows[keep], trace[keep], gram_x[keep], length[keep]
             symbols, conjugates = symbols[keep], conjugates[keep]
-        x = gram_x / theta[:, np.newaxis]
+        x = gram_x / length[:, np.newaxis]
     unsettled = ", ".join(str(powers[row]) for row in rows)
     raise ComputationError(
         f"the norm of power k = {unsettled} did not settle in {_POWER_STEPS} power-iteration steps"

@@ -16,10 +16,11 @@ n, about 0.5 ms on 2 vCPUs, and so is ||T_n|| up to n = 512.  Above that
 the O(n) products of `_resolvent_matvecs`, about 0.16 s at n = 4096, kept
 because the benchmark reference pins its value.  Its seeded start is the
 module's one random draw, so the first capped norm loads `numpy.random`
-(about 6 MB and 8 ms); the other paths never do.  `growth` writes
-(T_n - I)^k as (-h)^k times a binomial Toeplitz matrix, cuts that matrix's
-closed-form column to the lower corner that carries its norm to 2^-60
-relative, norms the corners by power iteration, many powers per stack
+(about 6 MB and 8 ms); the other paths never do.  `growth`, on grids up
+to 2^16 where the witness stops at 4096, writes (T_n - I)^k as (-h)^k times
+a binomial Toeplitz matrix, builds only the lower corner of that matrix's
+closed-form column that carries its norm to 2^-60 relative, norms the
+corners by power iteration, many powers per stack
 (`spectral._lower_toeplitz_norms`), and puts h back after the k-th root.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -34,18 +36,22 @@ import numpy as np
 
 from .algebra import membership_slack
 from .operators import DEFAULT_TOLERANCE, ToleranceConfig, _integer
-from .spectral import _lower_toeplitz_norms
+from .spectral import _fft_size, _lower_toeplitz_norms
 
 MAX_GRID = 4096
-# Entries per stack of `growth` corners: a stack whose first, widest corner
-# rounds up to W (a power of two, at most n) takes max(1, 4096 // W) corners
-# in all, 16 at W = 256, 4 at 1024 and 1 at 4096.  A stack's FFT buffers peak
-# at about 0.5 MiB (tracemalloc), doubling with the budget.  On 2 vCPUs
-# (in-process medians), stacks took 256/64 from 12 ms one corner at a time to
-# 3.4 ms, 1024/256 from 60 ms to 28 ms and 4096/4095 from 0.72 s to 0.34 s;
-# twice or four times the budget gained nothing measurable below 4096/4095,
-# and 10-15% there.
-_STACK_ELEMENTS = 4096
+# `growth` forms no n x n matrix: at n = 2^16 its corners take about 0.7 s at
+# k_max = 16 and 3.0 s at 256 on 2 vCPUs
+_GROWTH_GRID = 2**16
+# Transform entries per stack of `growth` corners: a stack whose first, widest
+# corner has W entries transforms its rows at length L = _fft_size(2W - 1) and
+# takes max(1, 8192 // L) corners in all: 16 at W = 256, 21 at W = 182, 4 at
+# 1024, 2 at 2048 and 1 from 2049 up.  A stack's FFT buffers peak at about
+# 0.5 MiB (tracemalloc), doubling with the budget.  At power-of-two widths,
+# whose counts this keeps, stacks took 256/64 from 12 ms one corner at a time
+# to 3.4 ms, 1024/256 from 60 ms to 28 ms and 4096/4095 from 0.72 s to 0.34 s
+# (in-process medians on 2 vCPUs); twice or four times the budget gained
+# nothing measurable below 4096/4095, and 10-15% there.
+_STACK_ELEMENTS = 8192
 _LANCZOS_SEED = 0x5EED
 _LANCZOS_STEPS = 384
 # Reorthogonalize a second time when the first pass leaves less than this
@@ -58,11 +64,11 @@ class QuadratureRule(enum.Enum):
     TRAPEZOID = "trapezoid"
 
 
-def _check_grid(n) -> int:
-    """The grid size n as a Python int in [1, MAX_GRID]."""
+def _check_grid(n, limit: int = MAX_GRID) -> int:
+    """The grid size n as a Python int in [1, limit]."""
     n = _integer("grid size n", n)
-    if not 1 <= n <= MAX_GRID:
-        raise ValueError(f"grid size must be in [1, {MAX_GRID}], got {n}")
+    if not 1 <= n <= limit:
+        raise ValueError(f"grid size must be in [1, {limit}], got {n}")
     return n
 
 
@@ -333,7 +339,8 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
 
     The rule is fixed to left endpoint so that T - I is nilpotent like its
     continuous counterpart.  Requires k_max < n: from k = n on, the powers
-    vanish identically and the normalized quantity is meaningless.
+    vanish identically and the normalized quantity is meaningless.  The grid
+    may reach 2^16 (`_GROWTH_GRID`), past the witness's `MAX_GRID`.
 
     No matrix and no power is formed.  With h = 1/n and q = 1 - h, T - I is
     the lower-triangular Toeplitz matrix of the symbol -hz / (1 - qz), so
@@ -349,45 +356,51 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
 
     The scaled column is positive, so its Gram matrix is entrywise positive
     and power iteration takes s (`spectral._lower_toeplitz_norms`).  Only the
-    column's lower corner is normed.  For k >= 2 the ratio
+    column's lower corner is built and normed.  For k >= 2 the ratio
     b_(m+1)/b_m = q m/(m - k + 1) is at least 1 while m <= n(k - 1), which
     holds for every row, so the column increases and its largest entry is the
-    last; for k = 1 it falls from 1 to q^(n-2) > 1/e.  The entries below
-    2^-60/n of the largest therefore form a prefix, and they are cut: their l1
-    mass is under 2^-60.  The W entries left are the column of a W x W
+    last; for k = 1 it falls from 1 to q^(n-2) > 1/e.  So top is the larger
+    of the first and last entries, the entries below 2^-60/n of the largest
+    form a prefix, and they are cut: their l1 mass is under 2^-60.  The first
+    entry kept is found by bisection on the same elementwise formula, and
+    only the W entries from there on are built, so a power costs
+    O(W + log n), not O(n).  The W entries left are the column of a W x W
     lower-triangular Toeplitz matrix, the lower-left corner of B_k without the
     cut entries.  A lower Toeplitz matrix's norm is at most its column's l1
     norm, and the scaled norm is at least its largest entry, 1, so the cut
     moves s by at most 2^-60 relative and a_k by 2^-60/k.  W never grows
-    with k (every n up to 300 and n = 512, 1000, 2048 and 4096 at every k;
-    median 187 at 256/64, 305 at 1024/256, 67 at 1024/1023 and 72 at
-    4096/4095).
+    with k (every n up to 300 and n = 512, 1000, 2048 and 4096 at every k,
+    and 16384/256 and 65536/16; median 187 at 256/64, 305 at 1024/256, 67 at
+    1024/1023 and 72 at 4096/4095).
 
     The corners come one power at a time, in k order, and are normed in
-    stacks taken from that stream one stack at a time.  A stack is as wide as
-    its first corner rounded up to a power of two (at most n) and takes that
-    corner and the next max(1, 4096 // width) - 1 (`_STACK_ELEMENTS`), so its
-    first corner is its widest and each one after it sits after leading
-    zeros, which keeps its matrix's norm.  A stack's start and width depend
-    on n and k alone, and the stacked iteration gives each s bitwise its
-    value alone, so every a_k is bitwise independent of k_max.  Every power
-    measured settles within 14 steps, most in 4 or 5; one still unsettled
-    after 64 steps raises ComputationError naming k.  In-process medians on
-    2 vCPUs, against every power normed at full width n: 1024/256 takes
-    27-29 ms against 50-52 ms, 4096/256 0.16 s against 0.29 s, 1024/1023
-    48-56 ms against 0.19-0.20 s and 4096/4095 0.31-0.33 s against 3.8 s;
-    256/64, nearly all of whose corners round up to 256, stays at about
-    3.3 ms.
+    stacks taken from that stream one stack at a time.  A stack is exactly as
+    wide as its first corner, W, transforms at L = `spectral._fft_size`(2W - 1),
+    the least 2^a or 3 * 2^a of at least 2W - 1, and takes that corner and
+    the next max(1, 8192 // L) - 1 (`_STACK_ELEMENTS`), so its first corner is
+    its widest and each one after it sits after leading zeros, which keeps
+    its matrix's norm.  A stack's start and width depend on n and k alone,
+    and the stacked iteration gives each s bitwise its value alone, so every
+    a_k is bitwise independent of k_max.  Every power measured settles within
+    13 steps, most stacks in 2 or 3; one still unsettled after 64 steps raises
+    ComputationError naming k.  In-process medians on 2 vCPUs, against stacks
+    rounded up to a power of two that stop one product after their estimate
+    stalls: 256/64 takes 3.8 ms against 4.1 ms, 1024/256 25 ms against 34 ms,
+    1024/1023 43 ms against 55 ms, 4096/256 0.14 s against 0.21 s and
+    4096/4095 0.28 s against 0.43 s.  Past the witness's grid, 16384/256 and
+    65536/16 take about 0.7 s and 65536/256 3.0 s.
     """
-    n, k_max = _check_grid(n), _integer("k_max", k_max)
+    n, k_max = _check_grid(n, _GROWTH_GRID), _integer("k_max", k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     if k_max >= n:
         raise ValueError(f"k_max must be smaller than the grid size, got k_max={k_max}, n={n}")
     log_q = math.log1p(-1.0 / n)
-    # log_fact[m] = lgamma(m) = log (m - 1)!, index 0 unused.  math.lgamma, not
-    # scipy.special.gammaln: the runtime depends on numpy only.
-    log_fact = np.array([math.inf] + [math.lgamma(m) for m in range(1, n)])
+    # fact[m] = log_fact[m] = lgamma(m) = log (m - 1)!, index 0 unused: a list
+    # for the scalar bisection below, an array for the windows.  math.lgamma,
+    # not scipy.special.gammaln: the runtime depends on numpy only.
+    fact = [math.inf] + [math.lgamma(m) for m in range(1, n)]
+    log_fact = np.array(fact)
     # log_steps[j] = j log q, the same products each power would take afresh
     log_steps = np.arange(n) * log_q
     # an entry below 2^-60 / n of the largest is cut: n of them weigh under 2^-60
@@ -395,18 +408,30 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
 
     def corners():
         for k in range(1, k_max + 1):
-            # rows m = k..n-1, so m - k + 1 runs over 1..n-k; the two large
-            # lgamma terms (about 6000 at n = 1024) cancel before log q is added
-            log_c = log_fact[k:] - log_fact[1 : n - k + 1] - log_fact[k] + log_steps[: n - k]
-            top = float(log_c.max())
-            cut = int((log_c >= top + log_floor).argmax())
-            yield k, top, np.exp(log_c[cut:] - top)
+            # entry i is row m = k + i of rows k..n-1, so m - k + 1 runs over
+            # 1..n-k; the two large lgamma terms (about 6000 at n = 1024)
+            # cancel before log q is added.  log_c(i) is the window's formula
+            # below at one entry, bitwise: the same operations on the same
+            # floats (i * log_q is log_steps[i]), in Python's scalar arithmetic.
+            def log_c(i):
+                return fact[k + i] - fact[1 + i] - fact[k] + i * log_q
+
+            # the column falls for k = 1 and rises for k >= 2, so the entries
+            # kept are a suffix, found by bisection
+            top = max(log_c(0), log_c(n - k - 1))
+            floor = top + log_floor
+            cut = bisect_left(range(n - k), True, key=lambda i: log_c(i) >= floor)
+            window = (
+                log_fact[k + cut :] - log_fact[1 + cut : n - k + 1] - log_fact[k] + log_steps[cut : n - k]
+            )
+            yield k, top, np.exp(window - top)
 
     out = np.zeros(k_max)
     stream = corners()
     for first in stream:
-        width = min(n, 1 << (first[2].size - 1).bit_length())
-        ks, tops, stacked = zip(first, *islice(stream, max(1, _STACK_ELEMENTS // width) - 1))
+        width = first[2].size
+        count = max(1, _STACK_ELEMENTS // _fft_size(2 * width - 1))
+        ks, tops, stacked = zip(first, *islice(stream, count - 1))
         columns = np.zeros((len(ks), width))
         for row, corner in zip(columns, stacked):
             # a corner wider than the first would fail here, as a broadcast ValueError

@@ -125,12 +125,15 @@ def test_growth_rejects_rule_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["witness", "--n", "5000"], ["growth", "--n", "0"], ["growth", "--n", "4097"]]
+    "argv", [["witness", "--n", "5000"], ["growth", "--n", "0"], ["growth", "--n", "65537"]]
 )
 def test_out_of_range_grid_is_usage_error(argv, capsys):
+    """`growth` forms no n x n matrix and takes grids up to 2^16; the witness
+    and `converge` stop at 4096."""
     code, _, err = run_cli(argv, capsys)
     assert code == 2
-    assert "grid size must be in [1, 4096]" in err
+    limit = 65536 if argv[0] == "growth" else 4096
+    assert f"grid size must be in [1, {limit}]" in err
 
 
 

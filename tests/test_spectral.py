@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.fft import irfft
 from scipy.linalg import toeplitz
 
 from oba_lab import (
@@ -242,6 +243,59 @@ class TestToeplitzNorms:
             row = np.zeros(width)
             row[width - corner.size :] = corner
             assert abs(toeplitz_norm(row, k) - alone) <= 1e-15 * alone, width
+
+    def test_fft_size_is_the_least_2_to_the_a_or_3_times_2_to_the_a(self):
+        """Against brute force at every m up to 2^17, past 2n - 1 at n = 2^16."""
+        lengths = np.sort(np.concatenate([2 ** np.arange(19), 3 * 2 ** np.arange(18)]))
+        m = np.arange(1, 2**17 + 1)
+        expected = lengths[np.searchsorted(lengths, m)].tolist()
+        assert [spectral._fft_size(int(v)) for v in m] == expected
+
+    @pytest.mark.parametrize(
+        ("n", "powers"),
+        [(3, (1, 2)), (16, (1, 2, 8, 15)), (64, (1, 2, 16, 63)), (256, (1, 2, 64, 200)),
+         (600, (1, 8)), (1024, (1, 3))],
+    )
+    def test_the_assembled_norm_lies_in_the_kato_temple_bracket(self, n, powers):
+        """A row settles once its bracket rho <= lambda_1 <= rho (1 + _POWER_TOL)
+        holds, and reports v = sqrt(||G x||), with rho <= ||G x|| <= lambda_1: so
+        the norm lies in [v, v sqrt(1 + _POWER_TOL)].  The powers are assembled
+        from the dense T - I of `tests/oracle.py`, each rescaled to a largest
+        entry of 1, and normed by `spectral_norm`, whose own rounding widens the
+        bracket by 4 eps on each side (measured within 2.2 eps).  k = 1 has the
+        narrowest gap: lambda_2 / lambda_1 is about 0.2 there."""
+        eps = np.finfo(float).eps
+        base = resolvent_at_identity(volterra_matrix(n, QuadratureRule.LEFT_ENDPOINT)).entries
+        base = base - np.eye(n)
+        power = np.eye(n)
+        for k in range(1, max(powers) + 1):
+            power = base @ power
+            power /= np.abs(power).max()
+            if k in powers:
+                value = toeplitz_norm(power[:, 0], k)
+                dense = spectral_norm(power)
+                upper = value * math.sqrt(1 + spectral._POWER_TOL)
+                assert value * (1 - 4 * eps) <= dense <= upper * (1 + 4 * eps), k
+
+    def test_a_zero_column_settles_at_0_in_one_step(self, monkeypatch):
+        """A^T 1 = 0 keeps the uniform start, and G x = 0 gives the bracket [0, 0]."""
+        monkeypatch.setattr(spectral, "_POWER_STEPS", 1)
+        assert toeplitz_norm(np.zeros(16)) == 0.0
+        assert spectral._lower_toeplitz_norms(np.zeros((3, 600)), [4, 5, 6]).tolist() == [0.0] * 3
+
+    def test_growth_at_1024_256_takes_at_most_200_products(self, monkeypatch):
+        """The Kato-Temple stop, the A^T 1 start and transforms sized to each
+        corner: 184 FFT products (irfft calls) for 1024/256, against 306 with a
+        stop on a stalled estimate, a uniform start and power-of-two widths."""
+        products = []
+
+        def counting(*args, **kwargs):
+            products.append(None)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "irfft", counting)
+        growth_diagnostic(1024, 256)
+        assert len(products) <= 200
 
     @pytest.mark.parametrize("n", [*range(2, 65), 1024])
     def test_no_growth_power_comes_near_the_step_cap(self, n, monkeypatch):

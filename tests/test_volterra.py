@@ -475,13 +475,13 @@ class TestConvergence:
 
 
 class TestGrowthDiagnostic:
-    @pytest.mark.parametrize("n", [2, 3, 8, 64, 256, 600, 1024, 4096])
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 256, 600, 1024, 4096, 16384, 65536])
     def test_first_term_is_deviation_norm(self, n):
         """a_1 = ||T_n - I|| under the left rule: the witness deviation's closed form.
 
         a_1 is s / n, s the norm of the scaled column (1, q, q^2, ...): no
         logarithm of h reaches it.  Measured within 4 ulps at every n up to
-        4096 (worst at n = 1085)."""
+        4096 (worst at n = 1085), and at `growth`'s grids 16384 and 65536."""
         deviation = volterra._witness_norm(n, QuadratureRule.LEFT_ENDPOINT, 1.0)
         assert abs(growth_diagnostic(n, 1)[0] - deviation) <= 4 * math.ulp(deviation)
 
@@ -576,10 +576,11 @@ class TestGrowthDiagnostic:
 
     @pytest.mark.parametrize(("n", "k_max"), [(1024, 256), (4096, 256)])
     def test_power_iteration_stacks_stay_small(self, n, k_max):
-        """The corners are normed in stacks of max(1, 4096 // width) powers,
-        at most 4096 entries (32 KiB) per block, and power iteration keeps a
-        few blocks and their spectra, with no basis (measured peak: 0.53 MiB
-        at 1024/256 and 0.60 MiB at 4096/256), so a stack stays under 1 MiB."""
+        """The corners are normed in stacks of max(1, 8192 // L) powers, L the
+        transform length, at most 8192 transform entries (64 KiB) per block,
+        and power iteration keeps a few blocks and their spectra, with no
+        basis (measured peak: 0.62 MiB at 1024/256 and 0.79 MiB at 4096/256,
+        the n lgamma values included), so a stack stays under 1 MiB."""
         tracemalloc.start()
         try:
             growth_diagnostic(n, k_max)
@@ -656,6 +657,16 @@ class TestGrowthCorners:
             full = spectral._lower_toeplitz_norms(column[np.newaxis], [k])[0]
             assert abs(norm - full) <= 1e-15 * full, k
 
+    @pytest.mark.parametrize(("n", "k_max"), [(16384, 256), (65536, 16)])
+    def test_grids_past_4096_settle_and_never_widen(self, n, k_max, monkeypatch):
+        """`growth` takes grids up to 2^16: there too every power settles within
+        16 steps (measured: at most 11) and no corner is wider than the one
+        before it."""
+        monkeypatch.setattr(spectral, "_POWER_STEPS", 16)
+        rows = recorded_corners(monkeypatch, n, k_max, set(range(1, k_max + 1)))
+        widths = [row.size - np.flatnonzero(row)[0] for row, _ in map(rows.get, range(1, k_max + 1))]
+        assert all(a >= b for a, b in zip(widths, widths[1:]))
+
     def test_corners_never_widen_as_k_grows(self, monkeypatch):
         """A stack is as wide as its first corner and takes the next ones by
         count, so a corner wider than an earlier one would not fit its stack."""
@@ -668,16 +679,17 @@ class TestGrowthCorners:
         ("n", "k_max", "shorter"),
         [
             (64, 63, (1, 15, 16, 17, 62)),
-            (256, 64, (1, 16, 17, 63)),
-            (1024, 256, (1, 4, 5, 255)),
+            (256, 64, (1, 3, 4, 16, 17, 63)),
+            (1024, 256, (1, 3, 4, 5, 255)),
             (2048, 512, (132, 135, 435)),
-            (4096, 4095, (1, 2, 100, 764, 4094)),
+            (4096, 4095, (1, 2, 127, 275, 2862, 4094)),
         ],
     )
     def test_each_value_is_bitwise_independent_of_k_max(self, n, k_max, shorter):
-        """A stack's start and width depend on n and k alone.  a_132 and a_435
-        at n = 2048 and a_764 at 4096 read 1 ulp apart at width n and at their
-        corners' width, so a stack laid out by k_max would show there."""
+        """A stack's start and width depend on n and k alone.  a_3 and a_4 at
+        n = 256, a_3 at 1024, a_132 at 2048 and a_127, a_275 and a_2862 at 4096
+        read 1 ulp apart at width n and in their stacks, so a stack laid out by
+        k_max would show there."""
         values = growth_diagnostic(n, k_max)
         for b in shorter:
             assert values[:b].tolist() == growth_diagnostic(n, b).tolist(), b
