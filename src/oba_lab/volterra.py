@@ -14,13 +14,13 @@ lower-triangular Toeplitz with a closed-form first column.  The witness's
 n, about 0.5 ms on 2 vCPUs, and so is ||T_n|| up to n = 512.  Above that
 ||T_n|| is the package's one Lanczos run, `_capped_lanczos_norm`: 384 steps on
 the O(n) products of `_resolvent_matvecs`, about 0.16 s at n = 4096, kept
-because the benchmark reference pins its value.  Its seeded start is the
-module's one random draw, so the first capped norm loads `numpy.random`
-(about 6 MB and 8 ms); the other paths never do.  `growth`, on grids up
-to 2^16 where the witness stops at 4096, writes (T_n - I)^k as (-h)^k times
-a binomial Toeplitz matrix, builds only the lower corner of that matrix's
-closed-form column that carries its norm to 2^-60 relative, norms the
-corners by power iteration, many powers per stack
+because the benchmark reference pins its value.  Its seeded start is read
+from a stored table of the draws, so no path here loads `numpy.random`
+(about 6 MB and 8 ms) or depends on numpy's Generator stream.  `growth`, on
+grids up to 2^16 where the witness stops at 4096, writes (T_n - I)^k as
+(-h)^k times a binomial Toeplitz matrix, builds only the lower corner of that
+matrix's closed-form column that carries its norm to 2^-60 relative, norms
+the corners by power iteration, many powers per stack
 (`spectral._lower_toeplitz_norms`), and puts h back after the k-th root.
 """
 
@@ -31,6 +31,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -53,6 +54,9 @@ _GROWTH_GRID = 2**16
 # nothing measurable below 4096/4095, and 10-15% there.
 _STACK_ELEMENTS = 8192
 _LANCZOS_SEED = 0x5EED
+# the first MAX_GRID draws of default_rng(_LANCZOS_SEED).standard_normal, as
+# little-endian float64 (`_capped_lanczos_norm`)
+_LANCZOS_START = Path(__file__).with_name("_lanczos_start.npy")
 _LANCZOS_STEPS = 384
 # Reorthogonalize a second time when the first pass leaves less than this
 # fraction of the vector's norm ("twice is enough", Kahan-Parlett).
@@ -187,12 +191,30 @@ def _capped_lanczos_norm(n: int, gram) -> float:
     Symmetric Eigenvalue Problem, ch. 13).  Short of the whole space that
     value is a lower bound, which approaches the norm from below: for the
     witness products at n = 4096 it reads about 1.35e-11 low.  A NaN or
-    infinity in a product raises ValueError, naming the step.  numpy 2 loads
-    `numpy.random` on first attribute access, so the first call loads it for
-    the seeded start.
+    infinity in a product raises ValueError, naming the step.
+
+    The start is the first n entries of the table `_LANCZOS_START`, so n is
+    at most its length, `MAX_GRID`.  The table holds the first `MAX_GRID`
+    draws of `default_rng(_LANCZOS_SEED).standard_normal`, stored so that no
+    run loads `numpy.random` (about 6 MB) and no output depends on numpy's
+    Generator stream; `Generator` fills its output in order, so its first n
+    entries are bitwise `standard_normal(n)`.  The 384 x n basis (12 MiB at
+    n = 4096) dies before the tridiagonal is built, as one 384 x 384 array,
+    and solved.
     """
-    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    v = start / np.linalg.norm(start)
+    start = np.load(_LANCZOS_START)[:n]
+    alphas, betas, steps = _lanczos_recurrence(gram, start / np.linalg.norm(start))
+    # eigvalsh reads only the lower triangle: an off-diagonal placed above the
+    # diagonal would be ignored without any error
+    tridiagonal = np.diag(alphas[:steps])
+    np.fill_diagonal(tridiagonal[1:], betas[: steps - 1])
+    return math.sqrt(max(np.linalg.eigvalsh(tridiagonal)[-1], 0.0))
+
+
+def _lanczos_recurrence(gram, v):
+    """The diagonal, off-diagonal and step count of `_capped_lanczos_norm`'s
+    iteration from the unit vector v; its basis dies on return."""
+    n = v.size
     # The Lanczos vectors are consecutive rows, so each projection reads one
     # block.  The block is padded with zero rows to a multiple of 8 rows, whose
     # coefficients are exact zeros: OpenBLAS's threaded gemv splits the rows
@@ -234,11 +256,7 @@ def _capped_lanczos_norm(n: int, gram) -> float:
         if beta <= 1e-14 * peak:
             break
         v = w / beta
-    steps = j + 1
-    # eigvalsh reads only the lower triangle: an off-diagonal placed above the
-    # diagonal would be ignored without any error
-    tridiagonal = np.diag(alphas[:steps]) + np.diag(betas[: steps - 1], -1)
-    return math.sqrt(max(np.linalg.eigvalsh(tridiagonal)[-1], 0.0))
+    return alphas, betas, j + 1
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,10 @@ CASES = {
     "growth-64-16.csv": (["growth", "--n", "64", "--k-max", "16", "--format", "csv"], 0),
     "growth-600-8.json": (["growth", "--n", "600", "--k-max", "8"], 0),
     "growth-1024-256.json": (["growth", "--n", "1024", "--k-max", "256"], 0),
+    # the benchmark's default commands, exactly as it runs them
+    "growth-256-64.json": (["growth"], 0),
+    "converge-default-trapezoid.json": (["converge", "--rule", "trapezoid"], 0),
+    "converge-default-left.csv": (["converge", "--rule", "left", "--format", "csv"], 0),
     "witness-64-left.csv": (["witness", "--n", "64", "--rule", "left", "--format", "csv"], 0),
     "witness-1-left.json": (["witness", "--n", "1", "--rule", "left"], 1),
     "growth-8-7.json": (["growth", "--n", "8", "--k-max", "7"], 1),
@@ -94,12 +98,20 @@ def test_cli_import_leaves_numpy_random_unloaded():
 
 
 @pytest.mark.parametrize(
-    "argv", [["growth"], ["witness", "--n", "512"], ["converge", "--ns", "16,512"]]
+    "argv",
+    [
+        ["growth"],
+        ["witness", "--n", "512"],
+        ["converge", "--ns", "16,512"],
+        ["witness", "--n", "4096", "--rule", "left"],
+        ["witness", "--n", "4096", "--rule", "trapezoid"],
+        ["converge"],
+    ],
 )
 def test_commands_that_draw_nothing_run_without_numpy_random(argv):
-    """growth, and the witness and converge up to n = 512 (closed-form norms),
-    draw no random number: they print the in-process bytes with `numpy.random`
-    unimportable."""
+    """growth, the witness and converge draw no random number at any n: the
+    capped Lanczos norm above n = 512 reads its seeded start from a stored
+    table.  They print the in-process bytes with `numpy.random` unimportable."""
     code, out = _run(argv)
     result = _fresh_interpreter(
         "import sys; sys.modules['numpy.random'] = None\n"
