@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -36,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import membership_slack
+from .errors import ComputationError
 from .operators import DEFAULT_TOLERANCE, ToleranceConfig, _integer
 from .spectral import _fft_size, _lower_toeplitz_norms
 
@@ -377,19 +377,22 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     column's lower corner is built and normed.  For k >= 2 the ratio
     b_(m+1)/b_m = q m/(m - k + 1) is at least 1 while m <= n(k - 1), which
     holds for every row, so the column increases and its largest entry is the
-    last; for k = 1 it falls from 1 to q^(n-2) > 1/e.  So top is the larger
-    of the first and last entries, the entries below 2^-60/n of the largest
-    form a prefix, and they are cut: their l1 mass is under 2^-60.  The first
-    entry kept is found by bisection on the same elementwise formula, and
-    only the W entries from there on are built, so a power costs
-    O(W + log n), not O(n).  The W entries left are the column of a W x W
+    last; for k = 1 it falls from 1 to q^(n-2) > 1/e.  So the entries below
+    2^-60/n of the largest form a prefix, and they are cut: their l1 mass is
+    under 2^-60.  The W entries left are the column of a W x W
     lower-triangular Toeplitz matrix, the lower-left corner of B_k without the
     cut entries.  A lower Toeplitz matrix's norm is at most its column's l1
     norm, and the scaled norm is at least its largest entry, 1, so the cut
     moves s by at most 2^-60 relative and a_k by 2^-60/k.  W never grows
     with k (every n up to 300 and n = 512, 1000, 2048 and 4096 at every k,
     and 16384/256 and 65536/16; median 187 at 256/64, 305 at 1024/256, 67 at
-    1024/1023 and 72 at 4096/4095).
+    1024/1023 and 72 at 4096/4095).  So each power builds its log column
+    only on its last W' + 1 entries, W' the width of the corner before it
+    (the whole column for k = 1), and scans them once: top is their largest
+    entry, which is the column's, and the corner starts at the first entry at
+    or above top + log(2^-60/n).  A power costs O(W'), not O(n).  The window
+    is one entry wider than W', so a corner that did grow would fill it and
+    raise ComputationError naming k rather than be cut short.
 
     The corners come one power at a time, in k order, and are normed in
     stacks taken from that stream one stack at a time.  A stack is exactly as
@@ -401,12 +404,10 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     and the stacked iteration gives each s bitwise its value alone, so every
     a_k is bitwise independent of k_max.  Every power measured settles within
     13 steps, most stacks in 2 or 3; one still unsettled after 64 steps raises
-    ComputationError naming k.  In-process medians on 2 vCPUs, against stacks
-    rounded up to a power of two that stop one product after their estimate
-    stalls: 256/64 takes 3.8 ms against 4.1 ms, 1024/256 25 ms against 34 ms,
-    1024/1023 43 ms against 55 ms, 4096/256 0.14 s against 0.21 s and
-    4096/4095 0.28 s against 0.43 s.  Past the witness's grid, 16384/256 and
-    65536/16 take about 0.7 s and 65536/256 3.0 s.
+    ComputationError naming k.  In-process medians on 2 vCPUs: 256/64 takes
+    3.6 ms, 1024/256 23 ms, 1024/1023 43 ms, 4096/256 0.14 s and 4096/4095
+    0.22 s.  Past the witness's grid, 16384/256 and 65536/16 take about 0.7 s,
+    65536/256 3.0 s, 32768/32767 2.7 s and 65536/65535 5.6 s.
     """
     n, k_max = _check_grid(n, _GROWTH_GRID), _integer("k_max", k_max)
     if k_max < 1:
@@ -414,35 +415,32 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
     if k_max >= n:
         raise ValueError(f"k_max must be smaller than the grid size, got k_max={k_max}, n={n}")
     log_q = math.log1p(-1.0 / n)
-    # fact[m] = log_fact[m] = lgamma(m) = log (m - 1)!, index 0 unused: a list
-    # for the scalar bisection below, an array for the windows.  math.lgamma,
+    # log_fact[m] = lgamma(m) = log (m - 1)!, index 0 unused.  math.lgamma,
     # not scipy.special.gammaln: the runtime depends on numpy only.
-    fact = [math.inf] + [math.lgamma(m) for m in range(1, n)]
-    log_fact = np.array(fact)
+    log_fact = np.array([math.inf] + [math.lgamma(m) for m in range(1, n)])
     # log_steps[j] = j log q, the same products each power would take afresh
     log_steps = np.arange(n) * log_q
     # an entry below 2^-60 / n of the largest is cut: n of them weigh under 2^-60
     log_floor = math.log(2.0**-60 / n)
 
     def corners():
+        # the previous corner's width; k = 1 reads its whole column
+        width = n
         for k in range(1, k_max + 1):
             # entry i is row m = k + i of rows k..n-1, so m - k + 1 runs over
             # 1..n-k; the two large lgamma terms (about 6000 at n = 1024)
-            # cancel before log q is added.  log_c(i) is the window's formula
-            # below at one entry, bitwise: the same operations on the same
-            # floats (i * log_q is log_steps[i]), in Python's scalar arithmetic.
-            def log_c(i):
-                return fact[k + i] - fact[1 + i] - fact[k] + i * log_q
-
-            # the column falls for k = 1 and rises for k >= 2, so the entries
-            # kept are a suffix, found by bisection
-            top = max(log_c(0), log_c(n - k - 1))
-            floor = top + log_floor
-            cut = bisect_left(range(n - k), True, key=lambda i: log_c(i) >= floor)
+            # cancel before log q is added.  Only the last width + 1 entries
+            # are built: a corner wider than the last one then shows up.
+            start = max(0, n - k - width - 1)
             window = (
-                log_fact[k + cut :] - log_fact[1 + cut : n - k + 1] - log_fact[k] + log_steps[cut : n - k]
+                log_fact[k + start :] - log_fact[1 + start : n - k + 1] - log_fact[k] + log_steps[start : n - k]
             )
-            yield k, top, np.exp(window - top)
+            top = window.max()
+            corner = window[(window >= top + log_floor).argmax() :]
+            if corner.size > width:
+                raise ComputationError(f"the corner of power k = {k} is wider than the one before it")
+            width = corner.size
+            yield k, top, np.exp(corner - top)
 
     out = np.zeros(k_max)
     stream = corners()
@@ -452,7 +450,6 @@ def growth_diagnostic(n: int, k_max: int) -> np.ndarray:
         ks, tops, stacked = zip(first, *islice(stream, count - 1))
         columns = np.zeros((len(ks), width))
         for row, corner in zip(columns, stacked):
-            # a corner wider than the first would fail here, as a broadcast ValueError
             row[width - corner.size :] = corner
         for k, top, norm in zip(ks, tops, _lower_toeplitz_norms(columns, ks)):
             out[k - 1] = k * float(norm) ** (1 / k) * math.exp(top / k) / n

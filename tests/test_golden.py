@@ -49,6 +49,9 @@ CASES = {
     "growth-64-16.csv": (["growth", "--n", "64", "--k-max", "16", "--format", "csv"], 0),
     "growth-600-8.json": (["growth", "--n", "600", "--k-max", "8"], 0),
     "growth-1024-256.json": (["growth", "--n", "1024", "--k-max", "256"], 0),
+    "growth-4096-256.json": (["growth", "--n", "4096", "--k-max", "256"], 0),
+    # past the witness's grid of 4096
+    "growth-65536-16.json": (["growth", "--n", "65536", "--k-max", "16"], 0),
     # the benchmark's default commands, exactly as it runs them
     "growth-256-64.json": (["growth"], 0),
     "converge-default-trapezoid.json": (["converge", "--rule", "trapezoid"], 0),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oba_lab import (
+    ComputationError,
     MatrixOperator,
     ProductElement,
     QuadratureRule,
@@ -643,12 +644,14 @@ def recorded_corners(monkeypatch, n, k_max, powers):
     return seen
 
 
-# (n, k_max, the powers checked): the golden sizes and samples of 4096/4095
+# (n, k_max, the powers checked): the golden sizes, samples of 4096/4095 and a
+# grid past the witness's, whose windows start far past the column's head
 CORNER_CASES = [
     (64, 16, range(1, 17)),
     (256, 64, range(1, 65)),
     (1024, 256, range(1, 257)),
     (4096, 4095, (1, 2, 3, 64, 194, 512, 1000, 2048, 3000, 4000, 4094, 4095)),
+    (16384, 256, (1, 2, 3, 64, 128, 256)),
 ]
 
 
@@ -687,12 +690,20 @@ class TestGrowthCorners:
         assert all(a >= b for a, b in zip(widths, widths[1:]))
 
     def test_corners_never_widen_as_k_grows(self, monkeypatch):
-        """A stack is as wide as its first corner and takes the next ones by
-        count, so a corner wider than an earlier one would not fit its stack."""
+        """Each power's column is read on one entry more than the corner before
+        it, so a corner wider than an earlier one would raise ComputationError."""
         for n in [*range(2, 301), 512, 1000, 2048, 4096]:
             rows = recorded_corners(monkeypatch, n, n - 1, set(range(1, n)))
             widths = [row.size - np.flatnonzero(row)[0] for row, _ in map(rows.get, range(1, n))]
             assert all(a >= b for a, b in zip(widths, widths[1:])), n
+
+    def test_a_corner_wider_than_the_last_raises_naming_its_power(self, monkeypatch):
+        """With lgamma falling by 100 at m = 3, the n = 6 column of k = 3 ends
+        in one entry 100 above the rest, a corner of one, while that of k = 4
+        is flat: both entries of its window are corner."""
+        monkeypatch.setattr(math, "lgamma", lambda m: 0.0 if m < 3 else -100.0)
+        with pytest.raises(ComputationError, match=r"power k = 4 is wider"):
+            growth_diagnostic(6, 5)
 
     @pytest.mark.parametrize(
         ("n", "k_max", "shorter"),
