@@ -157,7 +157,11 @@ def _cstar_identity(seed, prop, trials, dim, tol):
     top = np.maximum(spectral_norms(mats), np.hypot(re, im))
     square = top * top  # correctly rounded, unlike ** (libm pow)
     gram_norms = spectral_norms(np.swapaxes(mats.conj(), 1, 2) @ mats)
-    return tol.rel_tol * square - np.abs(np.maximum(gram_norms, re * re + im * im) - square)
+    # a finite rel_tol as large as 1e308 takes the product past the largest
+    # float: +inf is then the right slack, and no warning is due
+    with np.errstate(over="ignore"):
+        allowed = tol.rel_tol * square
+    return allowed - np.abs(np.maximum(gram_norms, re * re + im * im) - square)
 
 
 def _unit_membership(seed, prop, trials, dim, tol):

@@ -13,14 +13,15 @@ lower-triangular Toeplitz with a closed-form first column.  The witness's
 `deviation` ||T_n - I|| is the top root of a scalar secular equation at every
 n, about 0.5 ms on 2 vCPUs, and so is ||T_n|| up to n = 512.  Above that
 ||T_n|| is the package's one Lanczos run, `_capped_lanczos_norm`: 384 steps on
-the O(n) products of `_resolvent_matvecs`, about 0.16 s at n = 4096, kept
-because the benchmark reference pins its value.  Its seeded start is read
-from a stored table of the draws, so no path here loads `numpy.random`
-(about 6 MB and 8 ms) or depends on numpy's Generator stream.  `growth`, on
-grids up to 2^16 where the witness stops at 4096, writes (T_n - I)^k as
-(-h)^k times a binomial Toeplitz matrix, builds only the lower corner of that
-matrix's closed-form column that carries its norm to 2^-60 relative, norms
-the corners by power iteration, many powers per stack
+the O(n) products of `_resolvent_matvecs`, reorthogonalized on every step
+below n = 768 and on alternate steps from there (Simon, 1984), about 0.11 s
+at n = 4096, kept because the benchmark reference pins its value.  Its seeded
+start is read from a stored table of the draws, so no path here loads
+`numpy.random` (about 6 MB and 8 ms) or depends on numpy's Generator stream.
+`growth`, on grids up to 2^16 where the witness stops at 4096, writes
+(T_n - I)^k as (-h)^k times a binomial Toeplitz matrix, builds only the lower
+corner of that matrix's closed-form column that carries its norm to 2^-60
+relative, norms the corners by power iteration, many powers per stack
 (`spectral._lower_toeplitz_norms`), and puts h back after the k-th root.
 """
 
@@ -183,11 +184,21 @@ def _capped_lanczos_norm(n: int, gram) -> float:
     `gram(x)` returns A^T A x; `build_witness` passes the products of
     `_resolvent_matvecs` for `norm_T` above n = 512.  The norm is the square
     root of the top Ritz value of a Lanczos iteration on A^T A from a seeded
-    start, with full reorthogonalization: one classical Gram-Schmidt pass,
-    and a second only where the first cancels most of the vector.  The
-    iteration runs exactly `_LANCZOS_STEPS` steps unless it reaches an
-    invariant subspace, where its Ritz value is exact, and takes the Ritz
-    value once, from one `eigvalsh` of the tridiagonal (Parlett, The
+    start.  Below n = 768, twice `_LANCZOS_STEPS`, every step
+    reorthogonalizes against the whole basis: one classical Gram-Schmidt
+    pass, and a second only where the first cancels most of the vector.  From
+    768 only the even steps j = 0, 2, 4, ... do, and the odd ones keep the
+    three-term recurrence alone.  Simon (Math. Comp. 42, 1984) shows that a
+    basis orthogonal to within sqrt(eps), about 1.5e-8, gives the Ritz values
+    of an exactly orthogonal one to working accuracy; on the witness products
+    the measured loss max |V V^T - I| stays at or below 5.0e-9 (every
+    multiple of 64 from 768 to 4096, both rules), and the norm within 2 ulps
+    of every-step reorthogonalization (`tests/oracle.py`) at every n from
+    768 to 4096, both rules.  Below 768 the capped space fills more than half
+    of R^n, and alternate steps let in enough loss to move the norm far past
+    rounding.  The iteration runs exactly `_LANCZOS_STEPS` steps unless it
+    reaches an invariant subspace, where its Ritz value is exact, and takes
+    the Ritz value once, from one `eigvalsh` of the tridiagonal (Parlett, The
     Symmetric Eigenvalue Problem, ch. 13).  Short of the whole space that
     value is a lower bound, which approaches the norm from below: for the
     witness products at n = 4096 it reads about 1.35e-11 low.  A NaN or
@@ -226,6 +237,11 @@ def _lanczos_recurrence(gram, v):
     basis = np.zeros((_LANCZOS_STEPS, n))
     alphas = np.empty(_LANCZOS_STEPS)
     betas = np.empty(_LANCZOS_STEPS)
+    # From n = 768 only the even steps reorthogonalize (`_capped_lanczos_norm`).
+    # Below it the capped space fills more than half of R^n, and at n = 385 the
+    # alternate steps took a norm of 1.0013 to 1.8 on the products of the
+    # dense T_n (to 17597 at 2 BLAS threads).
+    every_step = n < 2 * _LANCZOS_STEPS
     # the largest |alpha| so far: the scale of the invariant-subspace test
     peak = 0.0
     for j in range(_LANCZOS_STEPS):
@@ -244,13 +260,15 @@ def _lanczos_recurrence(gram, v):
         # The reference norm is taken after the three-term recurrence; taken
         # before it, the guard would fire on nearly every step.
         recurrence_norm = np.sqrt(w @ w)
-        # the rows so far and up to 7 zero rows, a multiple of 8 (see `basis`)
-        span = basis[: -(-(j + 1) // 8) * 8]
-        w = w - (span @ w) @ span
-        beta = np.sqrt(w @ w)
-        if beta < _REORTH_GUARD * recurrence_norm:
+        beta = recurrence_norm
+        if every_step or j % 2 == 0:
+            # the rows so far and up to 7 zero rows, a multiple of 8 (see `basis`)
+            span = basis[: -(-(j + 1) // 8) * 8]
             w = w - (span @ w) @ span
             beta = np.sqrt(w @ w)
+            if beta < _REORTH_GUARD * recurrence_norm:
+                w = w - (span @ w) @ span
+                beta = np.sqrt(w @ w)
         betas[j] = beta
         peak = max(peak, abs(alpha))
         if beta <= 1e-14 * peak:

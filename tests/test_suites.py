@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -472,4 +473,18 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
         run_axiom_suite(trials=3 * len(DIMS), seed=1)
     assert type(info.value) is BlockSlackError
     assert str(info.value) == "no norm for a block of 3"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=forks)])
+def test_a_finite_relative_tolerance_never_warns(monkeypatch, cpus):
+    """At rel_tol = 1e308 the C*-identity's allowance rel_tol ||x||^2 passes
+    the largest float.  It saturates to +inf, the right slack, without a
+    warning: with warnings as errors the suite runs inline and pooled, and
+    every property passes."""
+    monkeypatch.setattr(suites, "_cpu_count", lambda: cpus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_axiom_suite(trials=200, seed=42, tol=ToleranceConfig(rel_tol=1e308))
+    assert report.all_passed
     assert multiprocessing.active_children() == []
